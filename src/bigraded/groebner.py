@@ -10,7 +10,9 @@ monic, and sorted by decreasing lead term.
 
 import heapq
 import itertools
+from array import array
 from collections import namedtuple
+from functools import partial
 
 from .modules import (FreeModule, ModuleMap, Presentation, term_key,
                       vec_bidegree, vec_from_poly, vec_mono_shift, vec_scale,
@@ -367,29 +369,76 @@ def presentation_dim(M, d):
     return graded_piece(M, d)[1]
 
 
+def _nf_table(M, D):
+    """Normal form of every module monomial of f0 at bidegree D.
+
+    Maps each (gen, monomial) of bidegree D to its row (indices, coeffs)
+    over the standard basis graded_piece(M, D).  Rows are built bottom-up
+    in increasing term order: a standard monomial is its own row, and a
+    non-standard t = x^q * lead(g), g monic in the reduced basis, has
+    NF(t) = -sum c * NF(s) over the tail terms c*s of x^q * g, each of
+    bidegree D and smaller than t, so its row is already in the table.
+    Over F_p a row is two array('q'); over QQ two tuples.
+    """
+    key = ("nf", D)
+    if key not in M._cache:
+        field = M.ring.field
+        p = field.char
+        pack = partial(array, "q") if p else tuple
+        gb = presentation_gb(M)
+        leads = gb.leads
+        tails = []
+        for g, lt in zip(gb.elements, leads):
+            tail = dict(g)
+            tail.pop(lt)
+            tails.append(list(tail.items()))
+        basis, _ = graded_piece(M, D)
+        index = {t: i for i, t in enumerate(basis)}
+        table = {}
+        for t in sorted(M.f0.piece_basis(M.ring, D), key=term_key):
+            i = index.get(t)
+            if i is not None:
+                table[t] = (pack((i,)), pack((field.one,)))
+                continue
+            gi, e = t
+            k = next(k for k, (lgi, lu) in enumerate(leads)
+                     if lgi == gi and mono_divides(lu, e))
+            q = mono_div(e, leads[k][1])
+            acc = {}
+            for (gj, u), c in tails[k]:
+                idx, co = table[(gj, mono_mul(u, q))]
+                for r, v in zip(idx, co):
+                    acc[r] = acc.get(r, 0) - c * v
+            if p:
+                acc = {r: v % p for r, v in acc.items()}
+            row = [(r, v) for r, v in acc.items() if v]
+            table[t] = (pack([r for r, _ in row]), pack([v for _, v in row]))
+        M._cache[key] = table
+    return M._cache[key]
+
+
 def multiplication_matrix(M, mono, d):
     """Matrix of multiplication by x^mono from M_d, over standard bases.
 
     Returns (entries, target basis, source basis) with entries as
-    (row, col, coeff) triples.
+    (row, col, coeff) triples.  The column of a standard monomial e is
+    the row of x^mono * e in the normal-form table of the target
+    bidegree (_nf_table), built once per bidegree and shared by every
+    multiplier landing there, so assembling a matrix is a lookup.
     """
     d = (int(d[0]), int(d[1]))
-    key = ("mult", mono, d)
-    if key not in M._cache:
-        ring = M.ring
-        field = ring.field
-        gb = presentation_gb(M)
-        src, _ = graded_piece(M, d)
-        ma, mb = ring.mono_bidegree(mono)
-        tgt, _ = graded_piece(M, (d[0] + ma, d[1] + mb))
-        tindex = {t: i for i, t in enumerate(tgt)}
-        entries = []
+    ring = M.ring
+    src, _ = graded_piece(M, d)
+    ma, mb = ring.mono_bidegree(mono)
+    D = (d[0] + ma, d[1] + mb)
+    tgt, _ = graded_piece(M, D)
+    entries = []
+    if src:
+        table = _nf_table(M, D)
         for ci, (gi, e) in enumerate(src):
-            w = _reduce_full(field, {(gi, mono_mul(e, mono)): field.one},
-                             gb.elements, gb.leads)
-            entries.extend((tindex[t], ci, c) for t, c in w.items())
-        M._cache[key] = (entries, tgt, src)
-    return M._cache[key]
+            idx, co = table[(gi, mono_mul(e, mono))]
+            entries.extend(zip(idx, itertools.repeat(ci), co))
+    return entries, tgt, src
 
 # --------------------------------------------------------------- saturation
 

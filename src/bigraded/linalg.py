@@ -4,16 +4,16 @@ Matrices arrive as (row, col, coeff) entry lists.  Rank splits along the
 connected components of the bipartite row/column graph before any
 elimination; the differentials produced elsewhere in this package are
 monomial-block sparse and decompose into many small components, so each
-dense elimination stays tiny.
+dense elimination stays tiny.  numpy is imported only where a mod-p
+rank is computed, so importing the package does not pay for it.
 """
 
 from fractions import Fraction
 
-import numpy as np
-
 
 def _rank_dense_modp(A, p):
     """Row-echelon rank of an int64 numpy array mod p."""
+    import numpy as np
     A = A % p
     nrows, ncols = A.shape
     r = 0
@@ -110,19 +110,10 @@ def rank_entries(entries, nrows, ncols, field):
                 block[rmap[i]][cmap[j]] += c
             total += _rank_dense_exact(block)
         else:
+            import numpy as np
             p = field.char
             block = np.zeros((len(rids), len(cids)), dtype=np.int64)
             for i, j, c in ents:
                 block[rmap[i], cmap[j]] = (block[rmap[i], cmap[j]] + c) % p
             total += _rank_dense_modp(block, p)
     return total
-
-
-def rank_dense(rows, field):
-    """Exact rank of a dense list-of-lists matrix."""
-    if not rows or not rows[0]:
-        return 0
-    if field.char == 0:
-        return _rank_dense_exact([[Fraction(v) for v in row] for row in rows])
-    arr = np.array([[v % field.char for v in row] for row in rows], dtype=np.int64)
-    return _rank_dense_modp(arr, field.char)

@@ -50,9 +50,6 @@ class Region:
     def contains(self, k, kp):
         return region_contains(self, k, kp)
 
-    def is_upset(self):
-        return self.kind in (REG, REG_PRIME, REG_DOUBLE_PRIME)
-
 
 def st(i, p=0, pp=0):
     return Region(ST, i, p, pp)

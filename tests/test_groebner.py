@@ -1,17 +1,19 @@
 import random
+from fractions import Fraction
 
-from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
-                               module_standard_pairs, multiplication_matrix,
-                               normal_form, presentation_gb, saturate,
-                               standard_pairs, syzygies,
-                               upset_nonvanishing_witness, vanishes_on_upset)
+from bigraded.groebner import (_nf_table, buchberger, graded_piece,
+                               ideal_presentation, module_standard_pairs,
+                               multiplication_matrix, normal_form,
+                               presentation_gb, saturate, standard_pairs,
+                               syzygies, upset_nonvanishing_witness,
+                               vanishes_on_upset)
 from bigraded.modules import (FreeModule, free_presentation,
                               quotient_presentation, vec_add, vec_bidegree,
                               vec_from_poly, vec_lead, vec_mono_shift,
                               vec_sub)
 from bigraded.regions import reg, reg_prime, region_contains
-from bigraded.ring import make_ring, mono_div, mono_lcm
-from conftest import irrelevant_gens
+from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
+from conftest import irrelevant_gens, seeded_minors
 from helpers import span_piece_dim
 
 
@@ -226,6 +228,39 @@ def test_upset_witness_is_real(P11):
     assert upset_nonvanishing_witness(Q, reg(-1, 0, 0)) is None
 
 
+def _check_against_normal_form(M, window):
+    """multiplication_matrix equals the per-monomial normal form of
+    x^mono * e for every standard e and every mono of bidegree (1,0),
+    (0,1), (1,1); every table row lies on standard monomials."""
+    ring = M.ring
+    gb = presentation_gb(M)
+    leads = gb.leads
+    checked = 0
+    for d in window:
+        for step in ((1, 0), (0, 1), (1, 1)):
+            for mono in ring.monomials(step):
+                entries, tgt, src = multiplication_matrix(M, mono, d)
+                cols = {}
+                for r, ci, c in entries:
+                    assert c != 0
+                    assert tgt[r] not in cols.setdefault(ci, {})
+                    cols[ci][tgt[r]] = c
+                for ci, (gi, e) in enumerate(src):
+                    shifted = {(gi, tuple(a + f for a, f in zip(e, mono))):
+                               ring.field.one}
+                    assert cols.get(ci, {}) == normal_form(shifted, gb)
+                    checked += 1
+        basis, _ = graded_piece(M, d)
+        table = _nf_table(M, d)
+        assert set(table) == set(M.f0.piece_basis(ring, d))
+        for idx, _co in table.values():
+            for r in idx:
+                gi, e = basis[r]
+                assert not any(lgi == gi and mono_divides(lu, e)
+                               for lgi, lu in leads)
+    assert checked > 0
+
+
 def test_multiplication_matrix_consistency(P11):
     x0, y0 = P11.var(0), P11.var(2)
     Q = quotient_presentation(P11, [x0 * y0])
@@ -234,12 +269,31 @@ def test_multiplication_matrix_consistency(P11):
     assert len(src) == graded_piece(Q, (1, 1))[1]
     assert len(tgt) == graded_piece(Q, (2, 1))[1]
     # x0 * (x0 y1) = x0^2 y1 stays standard; x0 * (x1 y0) = x0 x1 y0 reduces
-    gb = presentation_gb(Q)
-    for ci, (gi, e) in enumerate(src):
-        img = normal_form({(gi, tuple(a + f for a, f in
-                                      zip(e, mono))): P11.field.one}, gb)
-        got = {tgt[r]: c for r, cc, c in entries if cc == ci}
-        assert got == img
+    _check_against_normal_form(Q, [(1, 1)])
+
+
+def test_multiplication_matrix_matches_normal_forms_minors(P11):
+    M = seeded_minors(P11)
+    assert M.f0.rank == 3
+    _check_against_normal_form(
+        M, [(a, b) for a in range(1, 5) for b in range(1, 5)])
+
+
+def test_multiplication_matrix_matches_normal_forms_torsion(P11):
+    x0, y0, y1 = P11.var(0), P11.var(2), P11.var(3)
+    M = quotient_presentation(P11, [x0 * x0, y0 * y0 * y1])
+    _check_against_normal_form(
+        M, [(a, b) for a in range(0, 4) for b in range(0, 5)])
+
+
+def test_multiplication_matrix_matches_normal_forms_rationals(P11q):
+    x0, x1, y0, y1 = (P11q.var(i) for i in range(4))
+    polys = [x0 * y1 - (x1 * y0).scale(Fraction(3, 2)),
+             x0 * x0 * y0 + (x1 * x1 * y1).scale(Fraction(-2, 7)),
+             x1 * y1 * y1]
+    M = ideal_presentation(P11q, polys)
+    _check_against_normal_form(
+        M, [(a, b) for a in range(0, 4) for b in range(0, 4)])
 
 
 def test_span_oracle_cross_check(P11):
