@@ -5,7 +5,9 @@ degree-reverse-lexicographic on monomials (x-block before y-block),
 extended term-over-position with ties broken toward the lower generator
 index.  Everything here is deterministic: S-pairs are processed in
 (lcm degree, lcm, i, j) heap order, and bases come back inter-reduced,
-monic, and sorted by decreasing lead term.
+monic, and sorted by decreasing lead term.  Buchberger and the Schreyer
+syzygy loop share one pair generator, one chain criterion and one traced
+reduction.
 """
 
 import heapq
@@ -27,11 +29,13 @@ def _lead(vec):
     return max(vec, key=term_key)
 
 
-def _reduce_full(field, f, elements, leads, on_step=None):
-    """Full normal form against monic elements with the given lead terms.
+def _reduce(field, f, elements, leads, exprs=None, expr=None):
+    """Full normal form against monic elements with the given lead terms,
+    traced when expr is given.
 
-    No monomial of the result is divisible by any lead.  on_step((k, q, c))
-    reports each reduction step: c * x^q * elements[k] was subtracted.
+    No monomial of the remainder is divisible by any lead.  Each step
+    subtracts c * x^q * elements[k] from f and, when tracing, c * x^q *
+    exprs[k] from expr.  Returns (remainder, expr).
     """
     work = dict(f)
     rem = {}
@@ -49,23 +53,71 @@ def _reduce_full(field, f, elements, leads, on_step=None):
             continue
         q = mono_div(e, leads[hit][1])
         work = vec_sub(field, work, vec_mono_shift(field, elements[hit], q, c))
-        if on_step is not None:
-            on_step((hit, q, c))
-    return rem
+        if expr is not None:
+            expr = vec_sub(field, expr,
+                           vec_mono_shift(field, exprs[hit], q, c))
+    return rem, expr
+
+# ---------------------------------------------------------------- S-pairs
+
+
+def _new_pairs(leads, j):
+    """Heap entries (lcm degree, lcm, i, j) pairing lead j with every
+    earlier lead at the same position."""
+    gj, uj = leads[j]
+    for i in range(j):
+        gi, ui = leads[i]
+        if gi == gj:
+            l = mono_lcm(ui, uj)
+            yield sum(l), l, i, j
+
+
+def _chain_redundant(leads, done, i, j, l):
+    """Chain criterion for the pair (i, j) with lcm l.
+
+    The pair may be dropped when a third lead at the same position divides
+    l and both companion pairs were already treated: treatment times are
+    strictly earlier, so the justifications cannot cycle.
+    """
+    g = leads[i][0]
+    for k, (gk, uk) in enumerate(leads):
+        if (k != i and k != j and gk == g and mono_divides(uk, l) and
+                (min(i, k), max(i, k)) in done and
+                (min(j, k), max(j, k)) in done):
+            return True
+    return False
+
+
+def _spair(field, elements, leads, exprs, l, i, j):
+    """Reduced S-vector of the monic elements i, j with lead lcm l, and
+    its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients)."""
+    one = field.one
+    qi = mono_div(l, leads[i][1])
+    qj = mono_div(l, leads[j][1])
+    s = vec_sub(field, vec_mono_shift(field, elements[i], qi, one),
+                vec_mono_shift(field, elements[j], qj, one))
+    sx = None
+    if exprs[i] is not None:
+        sx = vec_sub(field, vec_mono_shift(field, exprs[i], qi, one),
+                     vec_mono_shift(field, exprs[j], qj, one))
+    return _reduce(field, s, elements, leads, exprs, sx)
 
 # ------------------------------------------------------------- buchberger
 
 
 def _buchberger_core(ring, module, items, use_chain_criterion):
     """items: list of (vec, expr) with expr a vector over input columns
-    (or None when not tracking).  Returns (elements, exprs) for the reduced
-    basis; each element still satisfies element = sum expr * input-columns.
+    (or None when not tracking).  Returns (elements, exprs, leads) for the
+    reduced basis; each element still satisfies element = sum expr *
+    input-columns.
     """
     field = ring.field
-    G, E = [], []
+    G, E, leads = [], [], []
+    heap, done = [], set()
 
     def add(vec, expr):
-        c = vec[_lead(vec)]
+        lt = _lead(vec)
+        c = vec[lt]
         if c != field.one:
             ci = field.inv(c)
             vec = vec_scale(field, ci, vec)
@@ -73,100 +125,52 @@ def _buchberger_core(ring, module, items, use_chain_criterion):
                 expr = vec_scale(field, ci, expr)
         G.append(vec)
         E.append(expr)
+        leads.append(lt)
 
     for vec, expr in items:
-        vec_bidegree(ring, module.gens, vec)
         for gi, _e in vec:
             if not 0 <= gi < module.rank:
                 raise ValueError("generator index %d out of range" % gi)
+        vec_bidegree(ring, module.gens, vec)
         add(dict(vec), expr)
-
-    heap, done = [], set()
-
-    def push_pairs(j):
-        gj, uj = _lead(G[j])
-        for i in range(j):
-            gi, ui = _lead(G[i])
-            if gi == gj:
-                l = mono_lcm(ui, uj)
-                heapq.heappush(heap, (sum(l), l, i, j))
-
     for j in range(len(G)):
-        push_pairs(j)
+        for pair in _new_pairs(leads, j):
+            heapq.heappush(heap, pair)
 
     while heap:
         _deg, l, i, j = heapq.heappop(heap)
         if (i, j) in done:
             continue
         done.add((i, j))
-        gcur = _lead(G[i])[0]
-        if use_chain_criterion:
-            # safe to drop the pair when a third lead divides the lcm and
-            # both companion pairs were already treated (treatment times
-            # are strictly earlier, so the justifications cannot cycle)
-            skip = False
-            for k in range(len(G)):
-                if k == i or k == j:
-                    continue
-                gk, uk = _lead(G[k])
-                if gk != gcur or not mono_divides(uk, l):
-                    continue
-                if ((min(i, k), max(i, k)) in done and
-                        (min(j, k), max(j, k)) in done):
-                    skip = True
-                    break
-            if skip:
-                continue
-        qi = mono_div(l, _lead(G[i])[1])
-        qj = mono_div(l, _lead(G[j])[1])
-        s = vec_sub(field, vec_mono_shift(field, G[i], qi, field.one),
-                    vec_mono_shift(field, G[j], qj, field.one))
-        track = E[i] is not None
-        sexpr = None
-        if track:
-            sexpr = vec_sub(field, vec_mono_shift(field, E[i], qi, field.one),
-                            vec_mono_shift(field, E[j], qj, field.one))
-
-        steps = []
-        leads = [_lead(g) for g in G]
-        rem = _reduce_full(field, s, G, leads, on_step=steps.append)
-        if track:
-            for k, q, c in steps:
-                sexpr = vec_sub(field, sexpr,
-                                vec_mono_shift(field, E[k], q, c))
+        if use_chain_criterion and _chain_redundant(leads, done, i, j, l):
+            continue
+        rem, sexpr = _spair(field, G, leads, E, l, i, j)
         if rem:
             add(rem, sexpr)
-            push_pairs(len(G) - 1)
+            for pair in _new_pairs(leads, len(G) - 1):
+                heapq.heappush(heap, pair)
 
     # inter-reduce: minimal lead set, then tail reduction
     alive = set(range(len(G)))
-    for k in sorted(alive, key=lambda k: term_key(_lead(G[k])), reverse=True):
-        gk, uk = _lead(G[k])
-        for m in alive:
-            if m != k:
-                gm, um = _lead(G[m])
-                if gm == gk and mono_divides(um, uk):
-                    alive.discard(k)
-                    break
+    for k in sorted(alive, key=lambda k: term_key(leads[k]), reverse=True):
+        gk, uk = leads[k]
+        if any(m != k and leads[m][0] == gk and mono_divides(leads[m][1], uk)
+               for m in alive):
+            alive.discard(k)
 
-    order = sorted(alive, key=lambda k: term_key(_lead(G[k])), reverse=True)
+    order = sorted(alive, key=lambda k: term_key(leads[k]), reverse=True)
     els = [G[k] for k in order]
     exs = [E[k] for k in order]
-    leads = [_lead(g) for g in els]
+    lds = [leads[k] for k in order]
     out_els, out_exs = [], []
-    for g, ex in zip(els, exs):
-        t = _lead(g)
+    for g, ex, t in zip(els, exs, lds):
         tail = dict(g)
         tail.pop(t)
-        steps = []
-        rtail = _reduce_full(field, tail, els, leads, on_step=steps.append)
-        if ex is not None:
-            for k, q, c in steps:
-                ex = vec_sub(field, ex, vec_mono_shift(field, exs[k], q, c))
+        rtail, ex = _reduce(field, tail, els, lds, exs, ex)
         rtail[t] = field.one
         out_els.append(rtail)
         out_exs.append(ex)
-    return out_els, out_exs
+    return out_els, out_exs, lds
 
 
 class GroebnerBasis:
@@ -190,88 +194,61 @@ class GroebnerBasis:
 def buchberger(ring, module, gens, use_chain_criterion=True):
     """Reduced Groebner basis of the submodule generated by gens."""
     items = [(g, None) for g in gens if g]
-    els, _ = _buchberger_core(ring, module, items, use_chain_criterion)
+    els, _, _ = _buchberger_core(ring, module, items, use_chain_criterion)
     return GroebnerBasis(ring, module, els)
 
 
 def normal_form(f, G):
     """Remainder of f on division by G; no monomial divisible by a lead."""
-    return _reduce_full(G.ring.field, f, G.elements, G.leads)
+    return _reduce(G.ring.field, f, G.elements, G.leads)[0]
 
 # --------------------------------------------------------------- syzygies
 
 
-def _same_gi_pairs(leads):
-    pairs = []
-    for j in range(len(leads)):
-        gj, uj = leads[j]
-        for i in range(j):
-            gi, ui = leads[i]
-            if gi == gj:
-                l = mono_lcm(ui, uj)
-                pairs.append((sum(l), l, i, j))
-    pairs.sort()
-    return pairs
-
-
 def _pruned_pairs(leads):
-    """Same-position pairs minus chain-criterion-redundant ones.
+    """Same-position pairs in (lcm degree, lcm, i, j) order, minus the
+    chain-criterion-redundant ones.
 
-    A pair whose lcm is divisible by a third lead term, with both companion
-    pairs treated earlier, is dropped: its trace column is a combination of
-    the companions' (treatment times strictly decrease along justifications,
-    so unfolding them terminates), and the kept columns still generate.
+    A dropped pair's trace column is a combination of its companions'
+    (unfolding the justifications terminates, see _chain_redundant), so
+    the kept columns still generate.
     """
     done = set()
-    for _deg, l, i, j in _same_gi_pairs(leads):
+    for _deg, l, i, j in sorted(p for j in range(len(leads))
+                                for p in _new_pairs(leads, j)):
         done.add((i, j))
-        gcur = leads[i][0]
-        skip = False
-        for k in range(len(leads)):
-            if k == i or k == j:
-                continue
-            gk, uk = leads[k]
-            if gk != gcur or not mono_divides(uk, l):
-                continue
-            if ((min(i, k), max(i, k)) in done and
-                    (min(j, k), max(j, k)) in done):
-                skip = True
-                break
-        if not skip:
+        if not _chain_redundant(leads, done, i, j, l):
             yield l, i, j
+
+
+def _schreyer(ring, gens, elements, leads, exprs):
+    """Schreyer syzygies of a Groebner basis, one column per kept S-pair:
+    the S-pair trace over exprs, at the bidegree of the lead lcm.  Zero
+    traces are omitted.  Returns (columns, bidegrees)."""
+    cols, degs = [], []
+    for l, i, j in _pruned_pairs(leads):
+        rem, sx = _spair(ring.field, elements, leads, exprs, l, i, j)
+        assert not rem, "S-pair of a Groebner basis must reduce to zero"
+        if sx:
+            la, lb = ring.mono_bidegree(l)
+            ga, gb = gens[leads[i][0]]
+            cols.append(sx)
+            degs.append((la + ga, lb + gb))
+    return cols, degs
 
 
 def syzygies(G):
     """Kernel of the evaluation map (free module on G's elements -> ambient).
 
-    Columns come from S-pair reduction traces: for each same-position pair,
-    the two lcm multipliers minus the division quotients, after chain-
-    criterion pruning of redundant pairs.
+    The Schreyer loop run with unit expressions: each column is a kept
+    S-pair's two lcm multipliers minus its division quotients.
     """
-    ring, field = G.ring, G.ring.field
+    ring = G.ring
+    one, zm = ring.field.one, ring.zero_mono
     els = G.elements
-    leads = G.leads
+    units = [{(k, zm): one} for k in range(len(els))]
+    cols, degs = _schreyer(ring, G.module.gens, els, G.leads, units)
     target = FreeModule([vec_bidegree(ring, G.module.gens, g) for g in els])
-    cols, degs = [], []
-    for l, i, j in _pruned_pairs(leads):
-        qi = mono_div(l, leads[i][1])
-        qj = mono_div(l, leads[j][1])
-        s = vec_sub(field, vec_mono_shift(field, els[i], qi, field.one),
-                    vec_mono_shift(field, els[j], qj, field.one))
-        col = {(i, qi): field.one, (j, qj): field.neg(field.one)}
-        steps = []
-        rem = _reduce_full(field, s, els, leads, on_step=steps.append)
-        assert not rem, "S-pair of a Groebner basis must reduce to zero"
-        for k, q, c in steps:
-            acc = field.sub(col.get((k, q), field.zero), c)
-            if acc == 0:
-                col.pop((k, q), None)
-            else:
-                col[(k, q)] = acc
-        cols.append(col)
-        la, lb = ring.mono_bidegree(l)
-        ga, gb = G.module.gens[leads[i][0]]
-        degs.append((la + ga, lb + gb))
     return ModuleMap(ring, FreeModule(degs), target, cols)
 
 
@@ -281,47 +258,27 @@ def column_syzygies(ring, module, cols, col_degs=None):
     Combines Schreyer syzygies of a tracked Groebner basis of the columns
     with the membership relations expressing each column through that basis.
     """
-    field = ring.field
+    one, zm = ring.field.one, ring.zero_mono
     if col_degs is None:
         col_degs = [vec_bidegree(ring, module.gens, c) for c in cols]
     syz_cols, syz_degs = [], []
     items = []
     for j, c in enumerate(cols):
         if c:
-            items.append((dict(c), {(j, ring.zero_mono): field.one}))
+            items.append((dict(c), {(j, zm): one}))
         else:
-            syz_cols.append({(j, ring.zero_mono): field.one})
+            syz_cols.append({(j, zm): one})
             syz_degs.append(col_degs[j])
-    els, exprs = _buchberger_core(ring, module, items, True)
-    leads = [_lead(g) for g in els]
-
-    for l, i, j in _pruned_pairs(leads):
-        qi = mono_div(l, leads[i][1])
-        qj = mono_div(l, leads[j][1])
-        s = vec_sub(field, vec_mono_shift(field, els[i], qi, field.one),
-                    vec_mono_shift(field, els[j], qj, field.one))
-        sx = vec_sub(field, vec_mono_shift(field, exprs[i], qi, field.one),
-                     vec_mono_shift(field, exprs[j], qj, field.one))
-        steps = []
-        rem = _reduce_full(field, s, els, leads, on_step=steps.append)
-        assert not rem, "S-pair of a Groebner basis must reduce to zero"
-        for k, q, c in steps:
-            sx = vec_sub(field, sx, vec_mono_shift(field, exprs[k], q, c))
-        if sx:
-            la, lb = ring.mono_bidegree(l)
-            ga, gb = module.gens[leads[i][0]]
-            syz_cols.append(sx)
-            syz_degs.append((la + ga, lb + gb))
+    els, exprs, leads = _buchberger_core(ring, module, items, True)
+    pair_cols, pair_degs = _schreyer(ring, module.gens, els, leads, exprs)
+    syz_cols += pair_cols
+    syz_degs += pair_degs
 
     for j, c in enumerate(cols):
         if not c:
             continue
-        rx = {(j, ring.zero_mono): field.one}
-        steps = []
-        rem = _reduce_full(field, c, els, leads, on_step=steps.append)
+        rem, rx = _reduce(ring.field, c, els, leads, exprs, {(j, zm): one})
         assert not rem, "a generating column must reduce to zero"
-        for k, q, cc in steps:
-            rx = vec_sub(field, rx, vec_mono_shift(field, exprs[k], q, cc))
         if rx:
             syz_cols.append(rx)
             syz_degs.append(col_degs[j])
@@ -487,7 +444,6 @@ def ideal_quotient(ring, module, ngens, ideal_polys):
 def saturate(M, ideal_gens):
     """Presentation of the torsion submodule {v in M : I^N v = 0 for some N}."""
     ring = M.ring
-    field = ring.field
     F = M.f0
     polys = [p for p in ideal_gens if p is not None and not p.is_zero()]
     ngens0 = [dict(c) for c in M.relations.cols if c]
@@ -503,15 +459,12 @@ def saturate(M, ideal_gens):
     while True:
         nxt = ideal_quotient(ring, F, cur, polys)
         gb_cur = buchberger(ring, F, cur)
-        fresh = [v for v in nxt
-                 if _reduce_full(field, v, gb_cur.elements, gb_cur.leads)]
-        if not fresh:
+        if not any(normal_form(v, gb_cur) for v in nxt):
             break
         cur = nxt
 
     gb0 = buchberger(ring, F, ngens0)
-    kept = [v for v in cur
-            if _reduce_full(field, v, gb0.elements, gb0.leads)]
+    kept = [v for v in cur if normal_form(v, gb0)]
     if not kept:
         return Presentation(ring, FreeModule([]))
     kept_degs = [vec_bidegree(ring, F.gens, v) for v in kept]

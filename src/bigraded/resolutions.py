@@ -5,7 +5,9 @@ degree-compatible bihomogeneous maps an entry with a constant term IS a
 constant, so minimization is plain unit-pivot Gaussian cancellation:
 cancelling the pivot at (row i, col j) of d corrects d's other columns,
 zeroes row j of the next differential and column i of the previous one
-(both exactly, no correction terms), and preserves exactness.
+(both exactly, no correction terms), and preserves exactness.  One
+kernel, _cancel_units, does this for every map; the minimal presentation,
+each resolution step and minimize differ only in what they delete after.
 """
 
 import itertools
@@ -87,6 +89,73 @@ def homology_dims(C, d):
         out.append(dim - below - above)
     return out
 
+# ------------------------------------------------------------- cancellation
+
+
+def _cancel_units(field, zm, cols):
+    """Cancel every constant pivot of one map, in place.
+
+    cols maps column index -> sparse column {(row, monomial): coeff}.  The
+    pivot is the lowest column holding a constant, at its lowest constant
+    row ri; cancelling it subtracts multiples of the pivot column from
+    every other column, which empties row ri, then drops the pivot column.
+    Columns that become zero are deleted.  A column below the pivot holds
+    no constant, so its row-ri entries are non-constant and it gains only
+    non-constant entries: it stays constant-free, and one ascending sweep
+    finds every pivot.  Returns the cancelled (column, row) pairs in order.
+    """
+    cancelled = []
+    for k in sorted(cols):
+        pcol = cols.get(k)
+        hits = [ri for (ri, mono) in pcol or () if mono == zm]
+        if not hits:
+            continue
+        ri = min(hits)
+        cinv = field.inv(pcol[(ri, zm)])
+        del cols[k]
+        for l in list(cols):
+            v = cols[l]
+            gam = [(mono, cc) for (r2, mono), cc in v.items() if r2 == ri]
+            if not gam:
+                continue
+            for mono, cc in gam:
+                v = vec_sub(field, v,
+                            vec_mono_shift(field, pcol, mono,
+                                           field.mul(cc, cinv)))
+            if v:
+                cols[l] = v
+            else:
+                del cols[l]
+        cancelled.append((k, ri))
+    return cancelled
+
+
+def _submap(ring, cols, src, tgt, keep_cols, keep_rows):
+    """The map on the kept columns and rows of cols (column index ->
+    sparse column; a missing column is zero), renumbered in the given
+    order; src and tgt give the generator bidegrees by index."""
+    newrow = {r: i for i, r in enumerate(keep_rows)}
+    return ModuleMap(ring, FreeModule([src[k] for k in keep_cols]),
+                     FreeModule([tgt[r] for r in keep_rows]),
+                     [{(newrow[r], mono): c
+                       for (r, mono), c in cols.get(k, {}).items()}
+                      for k in keep_cols])
+
+
+def _cancel_map(phi):
+    """Cancel the constant pivots of phi and drop the cancelled rows and
+    the columns that became zero.
+
+    Returns (alive, psi): the surviving row indices of phi, in order, and
+    the constant-free map onto the free module on them.
+    """
+    ring = phi.ring
+    cols = {k: dict(c) for k, c in enumerate(phi.cols) if c}
+    gone = {ri for _k, ri in _cancel_units(ring.field, ring.zero_mono, cols)}
+    alive = [r for r in range(phi.target.rank) if r not in gone]
+    return alive, _submap(ring, cols, phi.source.gens, phi.target.gens,
+                          sorted(cols), alive)
+
 # ----------------------------------------------------- minimal presentations
 
 
@@ -97,57 +166,13 @@ def _minimize_presentation(M):
     generator indices, the free module on them, a constant-free relation
     map into it, and the inclusion of the survivors into M.f0.
     """
-    if "min_pres" in M._cache:
-        return M._cache["min_pres"]
-    ring = M.ring
-    field = ring.field
-    zm = ring.zero_mono
-    row_deg = dict(enumerate(M.f0.gens))
-    cols, col_deg = {}, {}
-    for j, c in enumerate(M.relations.cols):
-        if c:
-            cols[j] = dict(c)
-            col_deg[j] = M.relations.source.gens[j]
-
-    while True:
-        pivot = None
-        for j in sorted(cols):
-            hits = sorted(ri for (ri, mono) in cols[j] if mono == zm)
-            if hits:
-                pivot = (j, hits[0], cols[j][(hits[0], zm)])
-                break
-        if pivot is None:
-            break
-        j, ri, c = pivot
-        cinv = field.inv(c)
-        pcol = cols.pop(j)
-        col_deg.pop(j)
-        del row_deg[ri]
-        for l in list(cols):
-            v = cols[l]
-            gam = {mono: cc for (r2, mono), cc in v.items() if r2 == ri}
-            if not gam:
-                continue
-            for mono, cc in gam.items():
-                v = vec_sub(field, v,
-                            vec_mono_shift(field, pcol, mono,
-                                           field.mul(cc, cinv)))
-            if v:
-                cols[l] = v
-            else:
-                del cols[l]
-                del col_deg[l]
-
-    survivors = sorted(row_deg)
-    newrow = {r: i for i, r in enumerate(survivors)}
-    f0 = FreeModule([row_deg[r] for r in survivors])
-    rel_cols = [{(newrow[r], mono): c for (r, mono), c in cols[j].items()}
-                for j in sorted(cols)]
-    rels = ModuleMap(ring, FreeModule([col_deg[j] for j in sorted(cols)]),
-                     f0, rel_cols)
-    aug = ModuleMap(ring, f0, M.f0,
-                    [{(r, zm): field.one} for r in survivors])
-    M._cache["min_pres"] = (survivors, f0, rels, aug)
+    if "min_pres" not in M._cache:
+        ring = M.ring
+        survivors, rels = _cancel_map(M.relations)
+        aug = ModuleMap(ring, rels.target, M.f0,
+                        [{(r, ring.zero_mono): ring.field.one}
+                         for r in survivors])
+        M._cache["min_pres"] = (survivors, rels.target, rels, aug)
     return M._cache["min_pres"]
 
 
@@ -161,72 +186,15 @@ def minimal_generators(M):
 # ------------------------------------------------------- resolution builder
 
 
-def _cancel_pair(phi, psi):
-    """Cancel constant pivots of psi; phi loses the matching columns.
-
-    phi: F_d -> F_{d-1} (assumed already constant-free), psi: F_{d+1} -> F_d
-    with image = ker(phi).  Exactness and coker(phi) are preserved.
-    """
-    ring = phi.ring
-    field = ring.field
-    zm = ring.zero_mono
-    row_deg = dict(enumerate(phi.source.gens))
-    cols, col_deg = {}, {}
-    for k, c in enumerate(psi.cols):
-        if c:
-            cols[k] = dict(c)
-            col_deg[k] = psi.source.gens[k]
-
-    while True:
-        pivot = None
-        for k in sorted(cols):
-            hits = sorted(ri for (ri, mono) in cols[k] if mono == zm)
-            if hits:
-                pivot = (k, hits[0], cols[k][(hits[0], zm)])
-                break
-        if pivot is None:
-            break
-        k, rj, c = pivot
-        cinv = field.inv(c)
-        pcol = cols.pop(k)
-        col_deg.pop(k)
-        del row_deg[rj]
-        for l in list(cols):
-            v = cols[l]
-            gam = {mono: cc for (r2, mono), cc in v.items() if r2 == rj}
-            if gam:
-                for mono, cc in gam.items():
-                    v = vec_sub(field, v,
-                                vec_mono_shift(field, pcol, mono,
-                                               field.mul(cc, cinv)))
-            else:
-                v = dict(v)
-            # the cancelled generator of F_d is gone from the complex
-            v = {t: cc for t, cc in v.items() if t[0] != rj}
-            if v:
-                cols[l] = v
-            else:
-                del cols[l]
-                del col_deg[l]
-
-    alive = sorted(row_deg)
-    newrow = {r: i for i, r in enumerate(alive)}
-    new_src = FreeModule([row_deg[r] for r in alive])
-    new_phi = ModuleMap(ring, new_src, phi.target,
-                        [dict(phi.cols[r]) for r in alive])
-    psi_cols = [{(newrow[r], mono): c for (r, mono), c in cols[k].items()}
-                for k in sorted(cols)]
-    new_psi = ModuleMap(ring, FreeModule([col_deg[k] for k in sorted(cols)]),
-                        new_src, psi_cols)
-    return new_phi, new_psi
-
-
 def minimal_free_resolution(M, max_length=None):
     """Minimal free resolution of the cokernel presentation M.
 
     Differentials are built one homological degree at a time: kernel
     generators of the current map, then constant-pivot cancellation before
-    the next step, so no differential ever carries a unit entry.
+    the next step, so no differential ever carries a unit entry.  A pivot
+    of the kernel map pairs a kernel generator with a generator of the
+    current source; both leave the complex, so the current map loses that
+    column.  Exactness and the cokernel are preserved.
     """
     ring = M.ring
     if max_length is None:
@@ -241,9 +209,11 @@ def minimal_free_resolution(M, max_length=None):
                 "resolution exceeds length %d" % max_length)
         psi = column_syzygies(ring, pending.target, pending.cols,
                               list(pending.source.gens))
-        pending, psi = _cancel_pair(pending, psi)
-        if not pending.source.rank:
+        alive, psi = _cancel_map(psi)
+        if not alive:
             break
+        pending = ModuleMap(ring, psi.target, pending.target,
+                            [dict(pending.cols[r]) for r in alive])
         diffs.append(pending)
         terms.append(pending.source)
         pending = psi
@@ -254,86 +224,41 @@ def minimal_free_resolution(M, max_length=None):
 def minimize(C):
     """Quasi-isomorphic complex with every constant pivot cancelled.
 
-    Sweeps the homological degrees in ascending order, repeating until no
-    differential has a constant entry; the Betti data of the result does
-    not depend on the pivot order.
+    Sweeps the differentials once, in ascending homological degree.  A
+    pivot of d_{lvl+1} at (column k, row ri) removes generator k of
+    terms[lvl+1] and generator ri of terms[lvl]: after the basis change
+    row k of the next differential vanishes exactly and is deleted before
+    that differential is swept, and column ri of the previous one (or of
+    the augmentation) vanishes and is dropped when the survivors are
+    reindexed.  Deleting rows and columns never creates a constant, so a
+    differential stays constant-free once swept and no second sweep is
+    needed.  Columns that become zero stay, as homology.  The Betti data
+    of the result does not depend on the pivot order.
     """
     ring = C.ring
-    field = ring.field
-    zm = ring.zero_mono
     gens = [dict(enumerate(t.gens)) for t in C.terms]
-    maps = []
-    for d, phi in enumerate(C.diffs):
-        maps.append({k: dict(c) for k, c in enumerate(phi.cols) if c})
-    aug_cols = None
-    if C.augmentation is not None:
-        aug_cols = {k: dict(c) for k, c in enumerate(C.augmentation.cols)}
-
-    def eliminate(lvl, k, ri, c):
-        # pivot in d_{lvl+1}: column k (gen of terms[lvl+1]), row ri
-        cinv = field.inv(c)
-        pcol = maps[lvl].pop(k)
-        del gens[lvl + 1][k]
-        del gens[lvl][ri]
-        for l in list(maps[lvl]):
-            v = maps[lvl][l]
-            gam = {mono: cc for (r2, mono), cc in v.items() if r2 == ri}
-            for mono, cc in gam.items():
-                v = vec_sub(field, v,
-                            vec_mono_shift(field, pcol, mono,
-                                           field.mul(cc, cinv)))
-            if v:
-                maps[lvl][l] = v
-            else:
-                del maps[lvl][l]
-        # row k of the next differential vanishes after the basis change
-        if lvl + 1 < len(maps):
-            for l in list(maps[lvl + 1]):
-                v = {t: cc for t, cc in maps[lvl + 1][l].items() if t[0] != k}
-                if v:
-                    maps[lvl + 1][l] = v
-                else:
-                    del maps[lvl + 1][l]
-        # column ri of the previous differential (or augmentation) vanishes
-        if lvl >= 1:
-            maps[lvl - 1].pop(ri, None)
-        elif aug_cols is not None:
-            aug_cols.pop(ri, None)
-
-    progress = True
-    while progress:
-        progress = False
-        for lvl in range(len(maps)):
-            while True:
-                pivot = None
-                for k in sorted(maps[lvl]):
-                    hits = sorted(ri for (ri, mono) in maps[lvl][k]
-                                  if mono == zm)
-                    if hits:
-                        pivot = (k, hits[0], maps[lvl][k][(hits[0], zm)])
-                        break
-                if pivot is None:
-                    break
-                eliminate(lvl, *pivot)
-                progress = True
+    maps = [{k: dict(c) for k, c in enumerate(phi.cols) if c}
+            for phi in C.diffs]
+    for lvl, cols in enumerate(maps):
+        cancelled = _cancel_units(ring.field, ring.zero_mono, cols)
+        for k, ri in cancelled:
+            del gens[lvl + 1][k]
+            del gens[lvl][ri]
+        if cancelled and lvl + 1 < len(maps):
+            dead = {k for k, _ri in cancelled}
+            nxt = maps[lvl + 1]
+            for l, col in nxt.items():
+                nxt[l] = {t: cc for t, cc in col.items() if t[0] not in dead}
 
     # rebuild, reindexing survivors level by level
     order = [sorted(g) for g in gens]
-    newidx = [{r: i for i, r in enumerate(o)} for o in order]
-    terms = [FreeModule([gens[lvl][r] for r in order[lvl]])
-             for lvl in range(len(gens))]
-    diffs = []
-    for lvl in range(len(maps)):
-        cols = []
-        for k in order[lvl + 1]:
-            c = maps[lvl].get(k, {})
-            cols.append({(newidx[lvl][r], mono): cc
-                         for (r, mono), cc in c.items()})
-        diffs.append(ModuleMap(ring, terms[lvl + 1], terms[lvl], cols))
+    terms = [FreeModule([g[r] for r in o]) for g, o in zip(gens, order)]
+    diffs = [_submap(ring, maps[lvl], gens[lvl + 1], gens[lvl],
+                     order[lvl + 1], order[lvl]) for lvl in range(len(maps))]
     aug = None
-    if aug_cols is not None:
+    if C.augmentation is not None:
         aug = ModuleMap(ring, terms[0], C.augmentation.target,
-                        [dict(aug_cols[r]) for r in order[0]])
+                        [dict(C.augmentation.cols[r]) for r in order[0]])
     # drop trailing zero terms
     while len(terms) > 1 and terms[-1].rank == 0:
         terms.pop()

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bigraded.groebner import (_nf_table, buchberger, graded_piece,
                                ideal_presentation, module_standard_pairs,
                                multiplication_matrix, normal_form,
@@ -13,7 +15,7 @@ from bigraded.modules import (FreeModule, free_presentation,
                               vec_sub)
 from bigraded.regions import reg, reg_prime, region_contains
 from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
-from conftest import irrelevant_gens, seeded_minors
+from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
 from helpers import span_piece_dim
 
 
@@ -49,19 +51,38 @@ def test_buchberger_completion():
 
 
 def test_buchberger_flag_and_shuffle_invariance():
+    # the chain criterion (on by default) must not change the reduced
+    # basis: checked on an ideal, the seeded minors, and a submodule of a
+    # rank-2 free module
     R = make_ring(1, 1)
     x0, x1, y0, y1 = (R.var(i) for i in range(4))
     polys = [x0 * y1 - x1 * y0, x0 * y0, x1 * y1 + x0 * y1]
-    fm = FreeModule([(0, 0)])
-    a = buchberger(R, fm, [vec(f) for f in polys])
-    b = buchberger(R, fm, [vec(f) for f in polys], use_chain_criterion=False)
-    assert a.elements == b.elements
+    F2 = FreeModule([(0, 0), (1, 0)])
+    rank2 = [vec_add(R.field, vec(a, 0), vec(b, 1)) for a, b in [
+        (x0 * y0 - x1 * y1, y0), (x1 * y0, y1 + y0),
+        (x0 * x0 * y1, x1 * y0), (x0 * y1 * y1, y0 * y1)]]
+    cases = [(FreeModule([(0, 0)]), [vec(f) for f in polys]),
+             (FreeModule([(0, 0)]),
+              [vec(f) for f in seeded_minors_polys(R)]),
+             (F2, rank2)]
     rng = random.Random(3)
-    for _ in range(4):
-        shuffled = polys[:]
-        rng.shuffle(shuffled)
-        c = buchberger(R, fm, [vec(f) for f in shuffled])
-        assert c.elements == a.elements
+    for fm, vecs in cases:
+        a = buchberger(R, fm, vecs)
+        b = buchberger(R, fm, vecs, use_chain_criterion=False)
+        assert a.elements == b.elements
+        for _ in range(4):
+            shuffled = vecs[:]
+            rng.shuffle(shuffled)
+            c = buchberger(R, fm, shuffled)
+            assert c.elements == a.elements
+
+
+def test_buchberger_rejects_out_of_range_generator_index():
+    R = make_ring(1, 1)
+    fm = FreeModule([(0, 0)])
+    for gi in (fm.rank, -1):
+        with pytest.raises(ValueError, match="generator index"):
+            buchberger(R, fm, [{(gi, (1, 0, 0, 0)): R.field.one}])
 
 
 def test_buchberger_spair_postcondition(P11):

@@ -1,17 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from bigraded.errors import ResolutionTooLong
 from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
                                presentation_gb)
-from bigraded.modules import (FreeModule, ModuleMap, free_presentation,
-                              quotient_presentation, vec_from_poly)
+from bigraded.modules import (FreeModule, ModuleMap, Presentation,
+                              free_presentation, quotient_presentation,
+                              vec_add, vec_from_poly, vec_mono_shift)
 from bigraded.resolutions import (FreeComplex, betti_table, homology_dims,
                                   irrelevant_resolution, koszul_complex,
                                   minimal_free_resolution, minimal_generators,
                                   minimize)
-from bigraded.ring import make_ring
+from bigraded.ring import make_ring, mono_mul
 from conftest import irrelevant_gens, monomial_ideal
 
 
@@ -27,6 +29,29 @@ def assert_windowed_resolution(C, M, window):
 
 def square_window(lo, hi):
     return [(a, b) for a in range(lo, hi) for b in range(lo, hi)]
+
+
+def assert_no_unit_entries(C):
+    """Minimality: no differential entry is a nonzero constant."""
+    zm = C.ring.zero_mono
+    for d in C.diffs:
+        assert not any(mono == zm for col in d.cols for _r, mono in col)
+
+
+def rational_presentation(R):
+    """Three generators over QQ, two of them cancelled by relations whose
+    pivot constants are 2/3 and 5/2, so minimization divides by them."""
+    zm = R.zero_mono
+    q = Fraction
+    cols = [
+        {(0, zm): q(2, 3), (1, zm): q(3, 2)},
+        {(0, (1, 0, 0, 0)): q(1), (2, zm): q(5, 2)},
+        {(0, (1, 0, 1, 0)): q(1), (1, (0, 1, 0, 1)): q(-7, 3)},
+        {(2, (0, 0, 0, 1)): q(4), (1, (0, 1, 1, 0)): q(1, 2)},
+    ]
+    f0 = FreeModule([(0, 0), (0, 0), (1, 0)])
+    src = FreeModule([(0, 0), (1, 0), (1, 1), (1, 1)])
+    return Presentation(R, f0, ModuleMap(R, src, f0, cols).check())
 
 
 # ------------------------------------------------------------------- koszul
@@ -106,6 +131,13 @@ def test_minimal_generators_redundant_input(P11):
     assert [deg for _el, deg in minimal_generators(M)] == [(1, 1)]
 
 
+def test_minimal_generators_rationals(P11q):
+    # e0 = -(9/4) e1 and e2 = -(2/5) x0 e0 leave e1 alone
+    M = rational_presentation(P11q)
+    assert minimal_generators(M) == [
+        ({(1, P11q.zero_mono): P11q.field.one}, (0, 0))]
+
+
 # --------------------------------------------------------- minimal resolution
 
 
@@ -162,6 +194,24 @@ def test_resolution_euler_characteristic(P11, corpus):
             assert chi == graded_piece(M, d)[1]
 
 
+def test_corpus_resolutions_exact_and_minimal(corpus):
+    for name, M in sorted(corpus.items()):
+        C = minimal_free_resolution(M)
+        assert_no_unit_entries(C)
+        a0 = min(a for a, _b in C.terms[0].gens) - 1
+        b0 = min(b for _a, b in C.terms[0].gens) - 1
+        window = [(a0 + i, b0 + j) for i in range(4) for j in range(4)]
+        assert_windowed_resolution(C, M, window)
+
+
+def test_resolution_over_rationals(P11q):
+    M = rational_presentation(P11q)
+    C = minimal_free_resolution(M)
+    assert C.terms[0].gens == ((0, 0),)
+    assert_no_unit_entries(C)
+    assert_windowed_resolution(C, M, square_window(-1, 4))
+
+
 def test_betti_determinism_under_shuffle(P11):
     gens = irrelevant_gens(P11)
     base = betti_table(minimal_free_resolution(ideal_presentation(P11, gens)))
@@ -197,32 +247,51 @@ def test_minimize_identity_complex(P11):
     assert D.length == 0
 
 
-def test_minimize_removes_split_exact_summand(P11):
+def test_minimize_removes_split_exact_summand(P11, P11q):
     # direct-sum a split-exact three-term complex
-    #   R(-1,-1) --(1, -x0y0)--> R(-1,-1) + R --(x0y0, 1)--> R
-    # onto a minimal resolution; minimization cancels it entirely
-    M = ideal_presentation(P11, irrelevant_gens(P11))
-    C = minimal_free_resolution(M)
-    one = P11.field.one
-    neg = P11.field.neg(one)
-    zm = P11.zero_mono
-    xy = (1, 0, 1, 0)
-    terms = [
-        FreeModule(list(C.terms[0].gens) + [(0, 0)]),
-        FreeModule(list(C.terms[1].gens) + [(1, 1), (0, 0)]),
-        FreeModule(list(C.terms[2].gens) + [(1, 1)]),
-    ]
-    r0, r1 = C.terms[0].rank, C.terms[1].rank
-    d1 = [dict(c) for c in C.diffs[0].cols]
-    d1 += [{(r0, xy): one}, {(r0, zm): one}]
-    d2 = [dict(c) for c in C.diffs[1].cols]
-    d2 += [{(r1, zm): one, (r1 + 1, xy): neg}]
-    D = FreeComplex(P11, terms, [
-        ModuleMap(P11, terms[1], terms[0], d1),
-        ModuleMap(P11, terms[2], terms[1], d2),
-    ])
-    assert D.composites_vanish()
-    assert betti_table(minimize(D)) == betti_table(C)
+    #   R(-1,-1) --(c, c2 x0y0)--> R(-1,-1) + R --(a x0y0, b)--> R
+    # onto a minimal resolution; minimization cancels it entirely and
+    # leaves the resolution entry for entry, augmentation included.  Over
+    # QQ the pivot constants b and c are not +-1, so the kernel divides.
+    q = Fraction
+    cases = [(P11, (1, 1, 1)), (P11q, (q(2, 3), q(3, 2), q(5, 4)))]
+    for R, (a, b, c) in cases:
+        field, zm, xy = R.field, R.zero_mono, (1, 0, 1, 0)
+        c2 = field.neg(field.mul(field.mul(a, c), field.inv(b)))
+        M = ideal_presentation(R, irrelevant_gens(R))
+        C = minimal_free_resolution(M)
+        r0, r1 = C.terms[0].rank, C.terms[1].rank
+        terms = [
+            FreeModule(list(C.terms[0].gens) + [(0, 0)]),
+            FreeModule(list(C.terms[1].gens) + [(1, 1), (0, 0)]),
+            FreeModule(list(C.terms[2].gens) + [(1, 1)]),
+        ]
+        d1 = [dict(col) for col in C.diffs[0].cols]
+        d1 += [{(r0, xy): a}, {(r0, zm): b}]
+        d2 = [dict(col) for col in C.diffs[1].cols]
+        d2 += [{(r1, zm): c, (r1 + 1, xy): c2}]
+        # mix the summand in by the base change e0' = e0 + x^g e_{r1+1}
+        # of F_1: column 0 of d1 gains x^g times the pivot column, and
+        # every column of d2 gains row r1+1 entries, which minimize must
+        # delete with the cancelled generator
+        g = R.monomials(C.terms[1].gens[0])[0]
+        d1[0] = vec_add(field, d1[0],
+                        vec_mono_shift(field, d1[r1 + 1], g, field.one))
+        for col in d2:
+            col.update({(r1 + 1, mono_mul(e, g)): field.neg(cc)
+                        for (r, e), cc in list(col.items()) if r == 0})
+        aug = ModuleMap(R, terms[0], C.augmentation.target,
+                        [dict(col) for col in C.augmentation.cols] + [{}])
+        D = FreeComplex(R, terms, [
+            ModuleMap(R, terms[1], terms[0], d1),
+            ModuleMap(R, terms[2], terms[1], d2),
+        ], augmentation=aug, module=M)
+        assert D.composites_vanish()
+        E = minimize(D)
+        assert betti_table(E) == betti_table(C)
+        assert [d.cols for d in E.diffs] == [d.cols for d in C.diffs]
+        assert E.augmentation.cols == C.augmentation.cols
+        assert_no_unit_entries(E)
 
 
 def test_minimize_keeps_genuine_homology(P11):
