@@ -29,6 +29,13 @@ def _lead(vec):
     return max(vec, key=term_key)
 
 
+def _nonzero(vec):
+    """vec without its stored zero coefficients.  Input vectors pass
+    through here once: _reduce assumes there are none, since a stored zero
+    on a reducible term never leaves its work dict."""
+    return {t: c for t, c in vec.items() if c != 0}
+
+
 def _reduce(field, f, elements, leads, exprs=None, expr=None):
     """Full normal form against monic elements with the given lead terms,
     traced when expr is given.
@@ -193,14 +200,14 @@ class GroebnerBasis:
 
 def buchberger(ring, module, gens, use_chain_criterion=True):
     """Reduced Groebner basis of the submodule generated by gens."""
-    items = [(g, None) for g in gens if g]
+    items = [(g, None) for g in map(_nonzero, gens) if g]
     els, _, _ = _buchberger_core(ring, module, items, use_chain_criterion)
     return GroebnerBasis(ring, module, els)
 
 
 def normal_form(f, G):
     """Remainder of f on division by G; no monomial divisible by a lead."""
-    return _reduce(G.ring.field, f, G.elements, G.leads)[0]
+    return _reduce(G.ring.field, _nonzero(f), G.elements, G.leads)[0]
 
 # --------------------------------------------------------------- syzygies
 
@@ -259,13 +266,14 @@ def column_syzygies(ring, module, cols, col_degs=None):
     with the membership relations expressing each column through that basis.
     """
     one, zm = ring.field.one, ring.zero_mono
+    cols = [_nonzero(c) for c in cols]
     if col_degs is None:
         col_degs = [vec_bidegree(ring, module.gens, c) for c in cols]
     syz_cols, syz_degs = [], []
     items = []
     for j, c in enumerate(cols):
         if c:
-            items.append((dict(c), {(j, zm): one}))
+            items.append((c, {(j, zm): one}))
         else:
             syz_cols.append({(j, zm): one})
             syz_degs.append(col_degs[j])

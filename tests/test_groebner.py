@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from bigraded.regions import reg, reg_prime, region_contains
 from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
 from helpers import span_piece_dim
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def vec(p, gi=0):
@@ -83,6 +89,47 @@ def test_buchberger_rejects_out_of_range_generator_index():
     for gi in (fm.rank, -1):
         with pytest.raises(ValueError, match="generator index"):
             buchberger(R, fm, [{(gi, (1, 0, 0, 0)): R.field.one}])
+
+
+# Each probe runs a stored-zero input in a child process, so that a
+# reduction that never ends fails the test at the timeout instead of
+# hanging the suite.
+STORED_ZERO_PROBE = """
+from bigraded.groebner import buchberger, column_syzygies, normal_form
+from bigraded.modules import FreeModule
+from bigraded.ring import make_ring
+R = make_ring(1, 1)
+fm = FreeModule([(0, 0)])
+a = {(0, (1, 0, 0, 1)): 1}
+b = {(0, (2, 0, 1, 0)): 1}
+c = {(0, (1, 1, 0, 1)): 1}
+clean = [a, %(clean)s]
+noisy = [a, %(noisy)s]
+G = buchberger(R, fm, noisy)
+assert G.elements == buchberger(R, fm, clean).elements, G.elements
+assert normal_form(%(noisy)s, G) == {}
+got = column_syzygies(R, fm, noisy)
+want = column_syzygies(R, fm, clean)
+assert (got.cols, got.source.gens) == (want.cols, want.source.gens)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("clean, noisy", [
+    # a zero on a term divisible by a lead: _reduce never ended
+    ("b", "{**b, (0, (1, 1, 0, 1)): 0}"),
+    # a zero on the lead term: field.inv(0) raised ValueError
+    ("c", "{**c, (0, (2, 0, 1, 0)): 0}"),
+], ids=["zero-on-reducible-term", "zero-on-lead-term"])
+def test_stored_zero_coefficients_are_dropped_on_entry(clean, noisy):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = STORED_ZERO_PROBE % {"clean": clean, "noisy": noisy}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_buchberger_spair_postcondition(P11):

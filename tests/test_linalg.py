@@ -1,31 +1,214 @@
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+from bigraded.fields import QQ, PrimeField
+from bigraded.linalg import rank_entries
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+GF7, GF32003 = PrimeField(7), PrimeField(32003)
+FIELDS = [GF7, GF32003, QQ]
 
 IMPORT_PROBE = """
 import sys
 import bigraded, bigraded.cli
 assert "numpy" not in sys.modules, "importing bigraded loaded numpy"
-from bigraded.fields import PrimeField
+from bigraded.fields import QQ, PrimeField
 from bigraded.linalg import rank_entries
 F = PrimeField(32003)
 # [[1, 2], [2, 4]] has rank 1 mod p; a third row e_1 makes it 2
 assert rank_entries([(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)], 2, 2, F) == 1
 assert rank_entries([(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4),
                      (2, 1, 1)], 3, 2, F) == 2
-assert "numpy" in sys.modules
+assert rank_entries([(0, 0, QQ.of(1)), (1, 0, QQ.of(1) / 2),
+                     (1, 1, QQ.of(3))], 2, 2, QQ) == 2
+assert bigraded.cli.main(["lc", sys.argv[1], "--ideal", "irr", "--i", "2",
+                          "--window", "-2:0,-2:0"]) == 0
+assert "numpy" not in sys.modules, "a rank or an lc run loaded numpy"
 print("ok")
 """
 
 
-def test_import_leaves_numpy_unloaded_until_a_modp_rank():
+def test_numpy_stays_unloaded_through_ranks_and_lc():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                         capture_output=True, text=True, timeout=120)
+    doc = ROOT / "demos" / "inputs" / "products_ideal.txt"
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(doc)],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    assert out.stdout.strip().endswith("ok")
+
+# ------------------------------------------------- dense elimination oracle
+
+
+def dense_rank(entries, nrows, ncols, p):
+    """Rank by textbook dense Gaussian elimination, over Fraction when p
+    is 0 and over ints mod p otherwise."""
+    if p:
+        A = [[0] * ncols for _ in range(nrows)]
+        for i, j, c in entries:
+            A[i][j] = (A[i][j] + c) % p
+    else:
+        A = [[Fraction(0)] * ncols for _ in range(nrows)]
+        for i, j, c in entries:
+            A[i][j] += c
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, p) if p else 1 / A[r][c]
+        for i in range(r + 1, nrows):
+            f = A[i][c] * inv
+            if f != 0:
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+                if p:
+                    A[i] = [a % p for a in A[i]]
+        r += 1
+    return r
+
+
+def _coeff(rng, field):
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+
+
+def random_entries(rng, field, nrows, ncols, density):
+    return [(i, j, _coeff(rng, field)) for i in range(nrows)
+            for j in range(ncols) if rng.random() < density]
+
+
+def check(entries, nrows, ncols, field, expect=None):
+    got = rank_entries(entries, nrows, ncols, field)
+    assert got == dense_rank(entries, nrows, ncols, field.char)
+    if expect is not None:
+        assert got == expect
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_random_sparse_against_dense_oracle(field):
+    rng = random.Random(7 + field.char)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        entries = random_entries(rng, field, nrows, ncols,
+                                 rng.choice([0.1, 0.25, 0.5]))
+        rng.shuffle(entries)
+        check(entries, nrows, ncols, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_repeated_triples_and_stored_zeros(field):
+    rng = random.Random(11 + field.char)
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        entries = random_entries(rng, field, nrows, ncols, 0.3)
+        # split some entries into two summands, cancel others to zero,
+        # and store explicit zeros
+        noisy = []
+        for i, j, c in entries:
+            roll = rng.random()
+            if roll < 0.3:
+                a = _coeff(rng, field)
+                noisy += [(i, j, a), (i, j, field.sub(c, a))]
+            elif roll < 0.5:
+                noisy += [(i, j, c), (i, j, field.neg(c))]
+            else:
+                noisy.append((i, j, c))
+        noisy += [(rng.randrange(nrows), rng.randrange(ncols), field.zero)
+                  for _ in range(3)]
+        rng.shuffle(noisy)
+        check(noisy, nrows, ncols, field)
+    # a row whose triples all cancel is a zero row
+    c = _coeff(rng, field)
+    check([(0, 0, c), (0, 0, field.neg(c)), (0, 1, field.zero)], 1, 2, field,
+          expect=0)
+    check([(0, 0, c), (1, 0, c), (1, 0, field.neg(c))], 2, 1, field,
+          expect=1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_empty_and_zero_rows(field):
+    check([], 0, 0, field, expect=0)
+    check([], 5, 3, field, expect=0)
+    check([(2, 1, field.zero)], 4, 4, field, expect=0)
+    one = field.one
+    # rows 1 and 3 are all zero
+    check([(0, 0, one), (2, 0, one), (2, 2, one), (4, 1, one)], 5, 3, field,
+          expect=3)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_block_diagonal(field):
+    rng = random.Random(13 + field.char)
+    for _ in range(10):
+        entries, r0, c0, total = [], 0, 0, 0
+        for _b in range(rng.randint(2, 5)):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            block = random_entries(rng, field, nr, nc, 0.5)
+            total += dense_rank(block, nr, nc, field.char)
+            entries += [(r0 + i, c0 + j, c) for i, j, c in block]
+            r0, c0 = r0 + nr, c0 + nc
+        # interleave the blocks' rows and columns
+        rperm = list(range(r0))
+        cperm = list(range(c0))
+        rng.shuffle(rperm)
+        rng.shuffle(cperm)
+        entries = [(rperm[i], cperm[j], c) for i, j, c in entries]
+        check(entries, r0, c0, field, expect=total)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_low_rank_products(field):
+    rng = random.Random(17 + field.char)
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        nrows, ncols = rng.randint(k, 12), rng.randint(k, 12)
+        # A is nrows x k and B is k x ncols, each holding a k x k identity
+        # block, so A*B has rank exactly k
+        ra = rng.sample(range(nrows), k)
+        cb = rng.sample(range(ncols), k)
+        A = [[field.zero] * k for _ in range(nrows)]
+        B = [[field.zero] * ncols for _ in range(k)]
+        for t in range(k):
+            A[ra[t]][t] = field.one
+            B[t][cb[t]] = field.one
+        for i in range(nrows):
+            for t in range(k):
+                if i not in ra and rng.random() < 0.6:
+                    A[i][t] = _coeff(rng, field)
+        for t in range(k):
+            for j in range(ncols):
+                if j not in cb and rng.random() < 0.6:
+                    B[t][j] = _coeff(rng, field)
+        entries = []
+        for i in range(nrows):
+            for j in range(ncols):
+                v = field.zero
+                for t in range(k):
+                    v = field.add(v, field.mul(A[i][t], B[t][j]))
+                if v != 0:
+                    entries.append((i, j, v))
+        check(entries, nrows, ncols, field, expect=k)
+
+
+def test_against_sympy_over_rationals():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = random_entries(rng, QQ, nrows, ncols, 0.4)
+        M = sympy.zeros(nrows, ncols)
+        for i, j, c in entries:
+            M[i, j] += sympy.Rational(c.numerator, c.denominator)
+        assert rank_entries(entries, nrows, ncols, QQ) == M.rank()
