@@ -24,11 +24,13 @@ from .errors import BigradedError, InputError, NotBihomogeneous, \
     ZeroPolynomial
 from .groebner import graded_piece, ideal_presentation
 from .localcoh import IRRELEVANT, KINDS, X, XY_SUM, Y, lc_table
-from .modules import FreeModule, ModuleMap, Presentation, vec_bidegree
+from .modules import FreeModule, ModuleMap, Presentation, vec_add, \
+    vec_bidegree
 from .regions import DREG, REG, REG_DOUBLE_PRIME, REG_PRIME, ST, dreg, reg, \
     reg_double_prime, reg_prime, region_ascii, region_contains, st
-from .regularity import module_betti, multiplication_surjectivity, \
-    strong_regularity_check, strong_regularity_frontier, weak_regularity_check
+from .regularity import betti_multiplicities, module_betti, \
+    multiplication_surjectivity, strong_regularity_check, \
+    strong_regularity_frontier, weak_regularity_check
 from .ring import make_ring
 from .sheaf import LineBundleSum
 
@@ -237,12 +239,7 @@ def _parse_module_body(sc, ring):
         terms = _parse_terms(sc, ring, gens=gens)
         vec = {}
         for coeff, exps, eidx in terms:
-            key = (eidx, exps)
-            s = field.add(vec.get(key, field.zero), field.of(coeff))
-            if s == 0:
-                vec.pop(key, None)
-            else:
-                vec[key] = s
+            vec = vec_add(field, vec, {(eidx, exps): field.of(coeff)})
         if not vec:
             continue
         try:
@@ -286,6 +283,8 @@ def parse_input(text):
                 m, n = int(fields["m"]), int(fields["n"])
             except ValueError:
                 raise InputError("line %d: m and n must be integers" % ln)
+            if m < -1 or n < -1:
+                raise InputError("line %d: m and n must be at least -1" % ln)
             spec = fields["field"]
             spec = "q" if spec.lower() in ("q", "qq") else spec
             if spec != "q":
@@ -352,24 +351,14 @@ def _emit(args, payload, ascii_text):
         print(ascii_text)
 
 
-def _betti_counts(betti):
-    out = {}
-    for d in sorted(betti):
-        seen = {}
-        for deg in betti[d]:
-            seen[deg] = seen.get(deg, 0) + 1
-        out[d] = seen
-    return out
-
-
 def _betti_json(betti):
     return {str(d): [[a, b, mult] for (a, b), mult in sorted(seen.items())]
-            for d, seen in _betti_counts(betti).items()}
+            for d, seen in betti_multiplicities(betti).items()}
 
 
 def _betti_ascii(betti):
     lines = []
-    for d, seen in _betti_counts(betti).items():
+    for d, seen in betti_multiplicities(betti).items():
         cells = " ".join("(%d,%d)x%d" % (a, b, mult)
                          for (a, b), mult in sorted(seen.items()))
         lines.append("level %d: %s" % (d, cells))
@@ -397,6 +386,11 @@ def _verdict_exit(value):
     if value is None:
         return 2
     return 0 if value else 1
+
+
+def _grid_json(i, window, dims, uncertified=(), **extra):
+    return dict(extra, i=i, window=list(window), dims=dims,
+                uncertified=[list(u) for u in uncertified])
 
 
 def _grid_ascii(title, window, dims, uncertified=()):
@@ -478,10 +472,8 @@ def _cmd_lc(args):
     window = _parse_window(args.window)
     table = lc_table(M, kind, args.i, window, nu_max=args.nu_max)
     payload = {"ring": meta,
-               "grid": {"i": table["i"], "window": list(table["window"]),
-                        "dims": table["dims"],
-                        "uncertified": [list(u)
-                                        for u in table["uncertified"]]}}
+               "grid": _grid_json(args.i, window, table["dims"],
+                                  table["uncertified"])}
     title = "H^%d at ideal '%s'" % (args.i, args.ideal)
     _emit(args, payload,
           _grid_ascii(title, window, table["dims"], table["uncertified"]))
@@ -489,14 +481,15 @@ def _cmd_lc(args):
 
 
 def _cmd_sheaf(args):
+    if args.m < -1 or args.n < -1:
+        raise InputError("--m and --n must be at least -1")
     window = _parse_window(args.window)
     F = LineBundleSum((args.m, args.n), [(args.a, args.b)])
     k0, k1, l0, l1 = window
     dims = [[F.cohomology_dim(args.i, k, kp) for kp in range(l0, l1 + 1)]
             for k in range(k0, k1 + 1)]
     payload = {"ring": {"field": "q", "m": args.m, "n": args.n},
-               "grid": {"i": args.i, "window": list(window), "dims": dims,
-                        "uncertified": []}}
+               "grid": _grid_json(args.i, window, dims)}
     title = "H^%d of O(%d,%d) twists over the window" \
         % (args.i, args.a, args.b)
     _emit(args, payload, _grid_ascii(title, window, dims))
@@ -519,9 +512,7 @@ def _cmd_region(args):
     k0, k1, l0, l1 = window
     dims = [[1 if region_contains(R, k, kp) else 0
              for kp in range(l0, l1 + 1)] for k in range(k0, k1 + 1)]
-    payload = {"grid": {"i": args.i, "kind": args.kind,
-                        "window": list(window), "dims": dims,
-                        "uncertified": []}}
+    payload = {"grid": _grid_json(args.i, window, dims, kind=args.kind)}
     _emit(args, payload, region_ascii(R, window))
     return 0
 
@@ -547,10 +538,8 @@ def _cmd_verify(args):
     def record(name, status, detail=""):
         checks.append({"name": name, "status": status, "detail": detail})
 
-    C = M._cache.get("min_res")
-    if C is None:
-        module_betti(M)
-        C = M._cache["min_res"]
+    module_betti(M)
+    C = M._cache["min_res"]
     record("resolution-composites-vanish",
            "ok" if C.composites_vanish() else "FAIL")
 

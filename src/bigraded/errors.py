@@ -43,3 +43,7 @@ class InvalidIndex(BigradedError):
 
 class InputError(BigradedError):
     """Malformed input document."""
+
+
+class ZeroModule(BigradedError, ValueError):
+    """The zero module has no regularity frontier."""

@@ -405,6 +405,31 @@ def multiplication_matrix(M, mono, d):
             entries.extend(zip(idx, itertools.repeat(ci), co))
     return entries, tgt, src
 
+
+def block_matrix(M, blocks, row_gens, col_gens, d):
+    """Block matrix of multiplication maps between graded pieces of M.
+
+    Block column c is M at d + col_gens[c] and block row r is M at
+    d + row_gens[r], both over standard bases.  Each (r, c, mono, coeff)
+    in blocks adds coeff times multiplication by x^mono to block (r, c),
+    one multiplication_matrix call per block.  Returns (entries, nrows,
+    ncols) with entries as (row, col, coeff) triples.
+    """
+    def offsets(gens):
+        return list(itertools.accumulate(
+            (graded_piece(M, (d[0] + a, d[1] + b))[1] for a, b in gens),
+            initial=0))
+
+    mul = M.ring.field.mul
+    rowoff, coloff = offsets(row_gens), offsets(col_gens)
+    entries = []
+    for r, c, mono, coeff in blocks:
+        a, b = col_gens[c]
+        ents, _tgt, _src = multiplication_matrix(M, mono, (d[0] + a, d[1] + b))
+        ro, co = rowoff[r], coloff[c]
+        entries.extend((ro + i, co + j, mul(coeff, v)) for i, j, v in ents)
+    return entries, rowoff[-1], coloff[-1]
+
 # --------------------------------------------------------------- saturation
 
 

@@ -3,19 +3,23 @@ of the bigraded ring: the two coordinate ideals, their sum, and the
 irrelevant ideal generated by the cross products x_i y_j.
 
 H^i is computed as the limit over nu of Ext^i against R modulo the nu-th
-power family, read off a Koszul or tensor resolution.  The limit is chased
-explicitly: the comparison chain maps (diagonal multiplication by one copy
-of each variable a generator mentions) induce the transition maps on Ext,
-and a value is certified once two consecutive transitions are
-isomorphisms.  Degree 0 never uses the limit; it is answered exactly by
-saturation.
+power family, read off a Koszul or tensor resolution.  Every matrix here
+is a block matrix of multiplication maps between graded pieces of M, built
+by groebner.block_matrix.  The limit is chased explicitly: the comparison
+chain maps (diagonal multiplication by one copy of each variable a
+generator mentions) induce the transition maps T on Ext, and a value is
+certified once two consecutive transitions are isomorphisms.  A transition
+between Ext spaces of equal dimension is one iff it is injective, and the
+rank of the stacked matrix [[delta_i, 0], [T, delta'_{i-1}]] decides
+that: it counts the cocycles T sends to coboundaries (_transition_is_iso).
+Degree 0 never uses the limit; it is answered exactly by saturation.
 """
 
 import math
 from collections import namedtuple
 
 from .errors import InvalidIndex, NoStabilization
-from .groebner import (graded_piece, multiplication_matrix, saturate)
+from .groebner import block_matrix, graded_piece, saturate
 from .linalg import rank_entries
 from .modules import FreeModule
 from .resolutions import FreeComplex, irrelevant_resolution, koszul_complex
@@ -69,11 +73,12 @@ def _power_complex(ring, kind, nu):
     return C
 
 
-def _label_vars(label):
-    """Variable indices a generator label mentions (its diagonal support)."""
+def _label_mono(ring, label):
+    """One copy of each variable a generator label mentions (its diagonal
+    support): the transition multiplies that generator by this monomial."""
     if label and isinstance(label[0], tuple):
-        return label[0] + label[1]
-    return label
+        label = label[0] + label[1]
+    return tuple(int(v in label) for v in range(ring.nvars))
 
 
 def complex_length(ring, kind):
@@ -82,46 +87,26 @@ def complex_length(ring, kind):
 # ----------------------------------------------------- cochain linear algebra
 
 
-def _cochain_dims(M, C, d):
-    out = []
-    for term in C.terms:
-        out.append(sum(graded_piece(M, (d[0] + a, d[1] + b))[1]
-                       for a, b in term.gens))
-    return out
+def _cochain_dim(M, gens, d):
+    return sum(graded_piece(M, (d[0] + a, d[1] + b))[1] for a, b in gens)
 
 
-def _offsets(M, gens, d):
-    offs, total = [], 0
-    for a, b in gens:
-        offs.append(total)
-        total += graded_piece(M, (d[0] + a, d[1] + b))[1]
-    return offs, total
-
-
-def _delta_entries(M, C, i, d):
-    """Matrix of Hom(d_{i+1}, M) at bidegree d: the map out of the i-th
-    cochain space.  Returns (entries, nrows, ncols)."""
-    field = M.ring.field
-    phi = C.diffs[i]
-    coloff, ncols = _offsets(M, phi.target.gens, d)   # cochains on F_i
-    rowoff, nrows = _offsets(M, phi.source.gens, d)   # cochains on F_{i+1}
-    entries = []
-    for beta, col in enumerate(phi.cols):
-        for (alpha, mono), coeff in col.items():
-            ga, gb = phi.target.gens[alpha]
-            ents, _tgt, _src = multiplication_matrix(
-                M, mono, (d[0] + ga, d[1] + gb))
-            ro, co = rowoff[beta], coloff[alpha]
-            entries.extend((ro + r, co + c, field.mul(coeff, v))
-                           for r, c, v in ents)
-    return entries, nrows, ncols
+def _hom_blocks(phi, r0=0, c0=0):
+    """Blocks of Hom(phi, M), shifted by (r0, c0): entry (alpha, mono) of
+    column beta of phi multiplies block column alpha into block row beta."""
+    return [(r0 + beta, c0 + alpha, mono, c)
+            for beta, col in enumerate(phi.cols)
+            for (alpha, mono), c in col.items()]
 
 
 def _delta_rank(M, kind, nu, i, d):
+    """Rank of Hom(d_{i+1}, M) at bidegree d, the map out of the i-th
+    cochain space."""
     key = ("lc_rank", kind, nu, i, d)
     if key not in M._cache:
-        C = _power_complex(M.ring, kind, nu)
-        entries, nrows, ncols = _delta_entries(M, C, i, d)
+        phi = _power_complex(M.ring, kind, nu).diffs[i]
+        entries, nrows, ncols = block_matrix(
+            M, _hom_blocks(phi), phi.source.gens, phi.target.gens, d)
         M._cache[key] = rank_entries(entries, nrows, ncols, M.ring.field)
     return M._cache[key]
 
@@ -133,7 +118,7 @@ def ext_graded_dim(M, kind, i, d, nu):
     if i < 0 or i > ring.m + ring.n + 2:
         raise InvalidIndex("cohomological index %d out of range" % i)
     C = _power_complex(ring, kind, nu)
-    dims = _cochain_dims(M, C, d)
+    dims = [_cochain_dim(M, term.gens, d) for term in C.terms]
     top = len(C.terms) - 1
     if i > top:
         return 0, dims
@@ -144,69 +129,41 @@ def ext_graded_dim(M, kind, i, d, nu):
 # ------------------------------------------------------------ transition maps
 
 
-def _transition_entries(M, kind, nu, i, d):
-    """Matrix of the transition on i-th cochains, from level nu to nu+1.
-
-    Block diagonal: the comparison chain map multiplies each generator by
-    one copy of every variable in its label, matching the degree shift
-    between the nu-th and (nu+1)-st power resolutions.
-    """
-    ring = M.ring
-    Ca = _power_complex(ring, kind, nu)
-    Cb = _power_complex(ring, kind, nu + 1)
-    labels = Ca.gen_labels[i]
-    gens_a = Ca.terms[i].gens
-    coloff, ncols = _offsets(M, gens_a, d)
-    rowoff, nrows = _offsets(M, Cb.terms[i].gens, d)
-    entries = []
-    for alpha, label in enumerate(labels):
-        e = [0] * ring.nvars
-        for v in _label_vars(label):
-            e[v] = 1
-        ga, gb = gens_a[alpha]
-        ents, _tgt, _src = multiplication_matrix(
-            M, tuple(e), (d[0] + ga, d[1] + gb))
-        ro, co = rowoff[alpha], coloff[alpha]
-        entries.extend((ro + r, co + c, v) for r, c, v in ents)
-    return entries, nrows, ncols
-
-
 def _transition_is_iso(M, kind, i, d, nu, hs):
-    """Does the transition Ext_nu -> Ext_{nu+1} at (i, d) hit bijectively?
+    """Does the transition Ext_nu -> Ext_{nu+1} at (i, d), i >= 1, hit
+    bijectively?
 
-    Injectivity via a fiber count: stacking the outgoing cochain
-    differential over the transition-minus-incoming block computes the
-    dimension of {v in ker(delta) : T v in im(delta')}, which equals
-    rank(incoming delta) exactly when no cohomology class dies.
+    With delta, delta' the cochain differentials at nu and nu+1 and T the
+    transition on i-th cochains, the stacked matrix
+    [[delta_i, 0], [T, delta'_{i-1}]] has kernel {(v, u) : delta_i v = 0,
+    T v = -delta'_{i-1} u}.  Projecting to v, with fiber ker delta'_{i-1},
+    gives W = {v in ker delta_i : T v in im delta'_{i-1}} of dimension
+    dim C^i - rank + rank delta'_{i-1} (so the sign of the delta' block,
+    -delta' in the mapping cone, does not matter).  W contains
+    im delta_{i-1} and equals it exactly when T kills no class, i.e. is
+    injective, which for equal dimensions on both sides means bijective.
     """
-    field = M.ring.field
+    ring, field = M.ring, M.ring.field
     h_a = hs.setdefault(nu, ext_graded_dim(M, kind, i, d, nu)[0])
     h_b = hs.setdefault(nu + 1, ext_graded_dim(M, kind, i, d, nu + 1)[0])
     if h_a != h_b:
         return False
     if h_a == 0:
         return True
-    Ca = _power_complex(M.ring, kind, nu)
-    Cb = _power_complex(M.ring, kind, nu + 1)
-    top = len(Ca.terms) - 1
-    if i < top:
-        Yent, Yr, Yc = _delta_entries(M, Ca, i, d)
-    else:
-        Yent, Yr, Yc = [], 0, _cochain_dims(M, Ca, d)[i]
-    Tent, Tr, Tc = _transition_entries(M, kind, nu, i, d)
-    if i >= 1:
-        Xpent, Xpr, Xpc = _delta_entries(M, Cb, i - 1, d)
-        rank_xp = _delta_rank(M, kind, nu + 1, i - 1, d)
-        rank_x = _delta_rank(M, kind, nu, i - 1, d)
-    else:
-        Xpent, Xpr, Xpc = [], Tr, 0
-        rank_xp = rank_x = 0
-    big = list(Yent)
-    big.extend((Yr + r, c, v) for r, c, v in Tent)
-    big.extend((Yr + r, Yc + c, field.neg(v)) for r, c, v in Xpent)
-    rank_big = rank_entries(big, Yr + Tr, Yc + Xpc, field)
-    w = Yc - rank_big + rank_xp
-    return w == rank_x
+    Ca = _power_complex(ring, kind, nu)
+    inc = _power_complex(ring, kind, nu + 1).diffs[i - 1]
+    out = Ca.diffs[i:i + 1]              # delta_i; there is none at the top
+    above = out[0].source.gens if out else ()
+    cols = Ca.terms[i].gens
+    blocks = [b for phi in out for b in _hom_blocks(phi)]
+    blocks += [(len(above) + a, a, _label_mono(ring, label), field.one)
+               for a, label in enumerate(Ca.gen_labels[i])]
+    blocks += _hom_blocks(inc, len(above), len(cols))
+    entries, nrows, ncols = block_matrix(
+        M, blocks, above + inc.source.gens, cols + inc.target.gens, d)
+    w = (_cochain_dim(M, cols, d) - rank_entries(entries, nrows, ncols, field)
+         + _delta_rank(M, kind, nu + 1, i - 1, d))
+    return w == _delta_rank(M, kind, nu, i - 1, d)
 
 
 def h0_via_saturation(M, kind):

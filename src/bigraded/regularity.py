@@ -13,12 +13,12 @@ Two independent routes to a verdict:
 
 from collections import namedtuple
 
-from .groebner import graded_piece, multiplication_matrix, \
-    upset_nonvanishing_witness
+from .errors import ZeroModule
+from .groebner import block_matrix, graded_piece, upset_nonvanishing_witness
 from .linalg import rank_entries
 from .localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation, \
     local_cohomology_dim
-from .modules import FreeModule, ModuleMap, Presentation
+from .modules import FreeModule, ModuleMap, Presentation, vec_add
 from .regions import dreg, reg, reg_double_prime, reg_prime, \
     region_contains, st_points
 from .resolutions import betti_table, minimal_free_resolution
@@ -46,7 +46,8 @@ def module_betti(M):
     return M._cache["betti"]
 
 
-def _betti_multiplicities(betti):
+def betti_multiplicities(betti):
+    """{homological degree: {bidegree: multiplicity}} of a Betti table."""
     out = {}
     for d in sorted(betti):
         seen = {}
@@ -64,7 +65,7 @@ def strong_regularity_check(M, p, pp):
     Witnesses list the offending (d, bidegree, multiplicity) triples.
     """
     witnesses = []
-    for d, seen in _betti_multiplicities(module_betti(M)).items():
+    for d, seen in betti_multiplicities(module_betti(M)).items():
         R = dreg(d, p, pp)
         for (a, b) in sorted(seen):
             if not region_contains(R, a, b):
@@ -84,7 +85,7 @@ def strong_regularity_frontier(M):
     betti = module_betti(M)
     entries = [(d, a, b) for d in betti for (a, b) in betti[d]]
     if not entries:
-        raise ValueError("the zero module has no regularity frontier")
+        raise ZeroModule("the zero module has no regularity frontier")
     A = max(a - d for d, a, b in entries)
     B = max(b - d for d, a, b in entries)
     C = max(a + b - d for d, a, b in entries)
@@ -189,26 +190,19 @@ def vc_window_verify(M, d, p, pp, window, nu_max=8):
 def multiplication_surjectivity(M, frm, step):
     """True iff R_step * M_frm spans M_{frm + step}.
 
-    Exact: normal forms of monomial * basis element are computed against
-    the Groebner basis of the presentation and the spanned rank is
-    compared with the target dimension.
+    Exact: the block matrix with one column block per monomial of
+    bidegree step, multiplying M_frm into the target, has full row rank.
     """
     ring = M.ring
     da, db = step
     if da < 0 or db < 0:
         raise ValueError("step must be componentwise nonnegative")
-    tgt = (frm[0] + da, frm[1] + db)
-    _, tdim = graded_piece(M, tgt)
-    if tdim == 0:
+    if graded_piece(M, (frm[0] + da, frm[1] + db))[1] == 0:
         return True
-    entries = []
-    ncols = 0
-    for mono in ring.monomials((da, db)):
-        ent, _tb, sb = multiplication_matrix(M, mono, frm)
-        entries.extend((r, c + ncols, v) for r, c, v in ent)
-        ncols += len(sb)
-    if ncols == 0:
-        return False
+    monos = ring.monomials((da, db))
+    entries, tdim, ncols = block_matrix(
+        M, [(0, c, mono, ring.field.one) for c, mono in enumerate(monos)],
+        [step], [(0, 0)] * len(monos), frm)
     return rank_entries(entries, tdim, ncols, ring.field) == tdim
 
 
@@ -242,12 +236,7 @@ def _collapse_presentation(M, drop_x):
     for col in M.relations.cols:
         acc = {}
         for (gi, e), c in col.items():
-            key = (gi, cut(e))
-            s = tgt.field.add(acc.get(key, tgt.field.zero), c)
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            acc = vec_add(tgt.field, acc, {(gi, cut(e)): c})
         cols.append(acc)
     degs = [gdeg(src) for src in M.relations.source.gens]
     rels = ModuleMap(tgt, FreeModule(degs), f0, cols)

@@ -80,6 +80,10 @@ def test_parse_errors_carry_positions():
          "no 'ideal:' or 'module:' declaration"),
         ("ring field=32003 m=1\nideal: x0", InputError,
          "line 1: ring declaration is missing n"),
+        ("ring field=32003 m=-2 n=1\nideal: y0", InputError,
+         "line 1: m and n must be at least -1"),
+        ("ring field=32003 m=1 n=-2\nideal: x0", InputError,
+         "line 1: m and n must be at least -1"),
     ]
     for text, exc, message in cases:
         with pytest.raises(exc) as info:
@@ -278,6 +282,32 @@ def test_missing_file_is_input_error(capsys):
 def test_bad_window_is_input_error(doc, capsys):
     assert main(["lc", doc(R_DOC), "--ideal", "irr", "--i", "2",
                  "--window", "3:1,0:0"]) == 3
+
+
+ZERO_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0) rels: e1\n"
+SHEAF = ["sheaf", "--a", "0", "--b", "0", "--window", "0:1,0:1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frontier", ZERO_DOC], "the zero module has no regularity frontier"),
+    (["verify", ZERO_DOC], "the zero module has no regularity frontier"),
+    (["betti", "ring field=32003 m=-2 n=1\nideal: y0\n"],
+     "line 1: m and n must be at least -1"),
+    (SHEAF + ["--m", "-2", "--n", "1"], "--m and --n must be at least -1"),
+    (SHEAF + ["--m", "1", "--n", "-2"], "--m and --n must be at least -1"),
+], ids=["frontier-zero", "verify-zero", "ring-m", "sheaf-m", "sheaf-n"])
+def test_bad_inputs_exit_three_with_message(doc, capsys, argv, message):
+    argv = [doc(a) if a.startswith("ring") else a for a in argv]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: %s\n" % message)
+
+
+def test_sheaf_accepts_empty_block(capsys):
+    # P^-1 is empty, so every cohomology group on it vanishes
+    rc, out = run(capsys, SHEAF + ["--m", "-1", "--n", "1", "--json"])
+    assert rc == 0
+    assert json.loads(out)["grid"]["dims"] == [[0, 0], [0, 0]]
 
 
 def test_unknown_subcommand_exits_three(capsys):

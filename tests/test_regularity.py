@@ -1,15 +1,20 @@
+import itertools
+
 import pytest
 
-from bigraded.groebner import graded_piece, ideal_presentation
+from bigraded.errors import BigradedError
+from bigraded.groebner import (graded_piece, ideal_presentation, normal_form,
+                               presentation_gb)
 from bigraded.modules import free_presentation, quotient_presentation
 from bigraded.regularity import (classical_reduction_check,
                                  multiplication_surjectivity,
                                  strong_regularity_check,
                                  strong_regularity_frontier, vc_window_verify,
                                  weak_regularity_check)
-from bigraded.ring import make_ring
+from bigraded.ring import make_ring, mono_mul
 from bigraded.sheaf import kunneth_dim
 from conftest import irrelevant_gens
+from helpers import rank_over
 
 
 # ---------------------------------------------------------- strong / frontier
@@ -43,8 +48,9 @@ def test_frontier_examples(corpus):
 
 def test_frontier_zero_module_raises(P11):
     Z = quotient_presentation(P11, [P11.monomial((0, 0, 0, 0))])
-    with pytest.raises(ValueError):
+    with pytest.raises(BigradedError) as info:
         strong_regularity_frontier(Z)
+    assert isinstance(info.value, ValueError)
 
 
 def test_frontier_points_are_minimal(corpus):
@@ -148,6 +154,41 @@ def test_multiplication_examples(P11, corpus):
 
     with pytest.raises(ValueError):
         multiplication_surjectivity(R, (0, 0), (-1, 0))
+
+
+def test_multiplication_surjectivity_against_dense_normal_forms(corpus):
+    """Span the normal forms of x^mono * b over the standard monomials b of
+    M_frm and take the rank by dense elimination: no block matrix, no
+    normal-form table, no graded_piece."""
+    steps = ((1, 0), (0, 1), (1, 1), (2, 0))
+    for name, M in sorted(corpus.items()):
+        ring, G = M.ring, presentation_gb(M)
+        one = ring.field.one
+        nf = {}
+
+        def standard(d):
+            out = []
+            for t in M.f0.piece_basis(ring, d):
+                nf[t] = normal_form({t: one}, G)
+                if nf[t] == {t: one}:
+                    out.append(t)
+            return out
+
+        for frm in itertools.product(range(-1, 3), repeat=2):
+            src = standard(frm)
+            for step in steps:
+                tgt = standard((frm[0] + step[0], frm[1] + step[1]))
+                index = {t: k for k, t in enumerate(tgt)}
+                rows = []
+                for mono in ring.monomials(step):
+                    for gi, e in src:
+                        row = [0] * len(tgt)
+                        for t, c in nf[(gi, mono_mul(e, mono))].items():
+                            row[index[t]] = c
+                        rows.append(row)
+                expect = rank_over(rows, ring.field) == len(tgt)
+                assert multiplication_surjectivity(M, frm, step) == expect, \
+                    (name, frm, step)
 
 
 def test_edge_weakness_gives_surjective_multiplication(corpus):
