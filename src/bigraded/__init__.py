@@ -7,7 +7,7 @@ runs in exact arithmetic over the rationals or an odd prime field.
 """
 
 from .errors import (BigradedError, EmptyRing, InputError, InvalidField,
-                     InvalidIndex, InvalidRegion, NeedsWindow,
+                     InvalidIndex, InvalidRegion, InvalidSpace, NeedsWindow,
                      NoStabilization, NotBihomogeneous, ResolutionTooLong,
                      ZeroPolynomial)
 from .fields import QQ, PrimeField, field_from_spec
@@ -42,8 +42,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigradedError", "EmptyRing", "InputError", "InvalidField",
-    "InvalidIndex", "InvalidRegion", "NeedsWindow", "NoStabilization",
-    "NotBihomogeneous", "ResolutionTooLong", "ZeroPolynomial",
+    "InvalidIndex", "InvalidRegion", "InvalidSpace", "NeedsWindow",
+    "NoStabilization", "NotBihomogeneous", "ResolutionTooLong",
+    "ZeroPolynomial",
     "QQ", "PrimeField", "field_from_spec",
     "GroebnerBasis", "buchberger", "graded_piece", "ideal_presentation",
     "ideal_quotient", "module_standard_pairs", "multiplication_matrix",

@@ -9,6 +9,10 @@ class InvalidField(BigradedError):
     """Field spec is neither the rationals nor an odd prime."""
 
 
+class InvalidSpace(BigradedError, ValueError):
+    """A block dimension m or n is below -1."""
+
+
 class EmptyRing(BigradedError):
     """Both variable blocks are empty and the trivial ring was not requested."""
 

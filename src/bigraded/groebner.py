@@ -413,21 +413,22 @@ def block_matrix(M, blocks, row_gens, col_gens, d):
     d + row_gens[r], both over standard bases.  Each (r, c, mono, coeff)
     in blocks adds coeff times multiplication by x^mono to block (r, c),
     one multiplication_matrix call per block.  Returns (entries, nrows,
-    ncols) with entries as (row, col, coeff) triples.
+    ncols) with entries as (row, col, coeff) triples; a coeff is the
+    native product of two field elements, left unreduced for
+    linalg.rank_entries.
     """
     def offsets(gens):
         return list(itertools.accumulate(
             (graded_piece(M, (d[0] + a, d[1] + b))[1] for a, b in gens),
             initial=0))
 
-    mul = M.ring.field.mul
     rowoff, coloff = offsets(row_gens), offsets(col_gens)
     entries = []
     for r, c, mono, coeff in blocks:
         a, b = col_gens[c]
         ents, _tgt, _src = multiplication_matrix(M, mono, (d[0] + a, d[1] + b))
         ro, co = rowoff[r], coloff[c]
-        entries.extend((ro + i, co + j, mul(coeff, v)) for i, j, v in ents)
+        entries.extend((ro + i, co + j, coeff * v) for i, j, v in ents)
     return entries, rowoff[-1], coloff[-1]
 
 # --------------------------------------------------------------- saturation

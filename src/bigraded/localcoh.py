@@ -144,11 +144,12 @@ def _transition_is_iso(M, kind, i, d, nu, hs):
     injective, which for equal dimensions on both sides means bijective.
     """
     ring, field = M.ring, M.ring.field
-    h_a = hs.setdefault(nu, ext_graded_dim(M, kind, i, d, nu)[0])
-    h_b = hs.setdefault(nu + 1, ext_graded_dim(M, kind, i, d, nu + 1)[0])
-    if h_a != h_b:
+    for s in (nu, nu + 1):
+        if s not in hs:
+            hs[s] = ext_graded_dim(M, kind, i, d, s)[0]
+    if hs[nu] != hs[nu + 1]:
         return False
-    if h_a == 0:
+    if hs[nu] == 0:
         return True
     Ca = _power_complex(ring, kind, nu)
     inc = _power_complex(ring, kind, nu + 1).diffs[i - 1]
@@ -200,8 +201,9 @@ def local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
             "no two consecutive stable transitions for i=%d at %s by "
             "nu_max=%d (dims %s)" % (i, d, nu_max, [hs.get(s) for s in
                                                     sorted(hs)]))
-    h = hs.get(nu_max, ext_graded_dim(M, kind, i, d, nu_max)[0])
-    return LocalCohomologyValue(h, None, False)
+    if nu_max not in hs:
+        hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
+    return LocalCohomologyValue(hs[nu_max], None, False)
 
 
 def lc_table(M, kind, i, window, nu_max=8):

@@ -7,7 +7,7 @@ is degree-reverse-lex on total degree with x0 > x1 > ... > xm > y0 > ... > yn.
 
 import math
 
-from .errors import EmptyRing, NotBihomogeneous, ZeroPolynomial
+from .errors import EmptyRing, InvalidSpace, NotBihomogeneous, ZeroPolynomial
 from .fields import field_from_spec
 
 
@@ -54,7 +54,7 @@ class Ring:
 
     def __init__(self, m, n, field, allow_trivial=False):
         if m < -1 or n < -1:
-            raise ValueError("m and n must be integers >= -1")
+            raise InvalidSpace("m and n must be integers >= -1")
         if m == -1 and n == -1 and not allow_trivial:
             raise EmptyRing("both variable blocks empty; pass allow_trivial=True "
                             "to build the constants-only ring")

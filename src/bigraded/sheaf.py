@@ -9,6 +9,7 @@ k <= -m-1), products from the binomial convolution over a+b = i.
 import math
 from fractions import Fraction
 
+from .errors import InvalidSpace
 from .regions import reg, region_contains, st_points
 
 
@@ -43,6 +44,8 @@ class LineBundleSum:
 
     def __init__(self, space, twists):
         self.space = (int(space[0]), int(space[1]))
+        if min(self.space) < -1:
+            raise InvalidSpace("m and n must be integers >= -1")
         self.twists = [(int(a), int(b)) for a, b in twists]
 
     def __repr__(self):

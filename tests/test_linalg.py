@@ -212,3 +212,95 @@ def test_against_sympy_over_rationals():
         for i, j, c in entries:
             M[i, j] += sympy.Rational(c.numerator, c.denominator)
         assert rank_entries(entries, nrows, ncols, QQ) == M.rank()
+
+# ------------------------------------- unreduced representatives over GF(p)
+# The kernel takes any int representative of a GF(p) element (block_matrix
+# passes unreduced products) and reduces a value only where it reads a
+# pivot entry, so these matrices exercise values outside [0, p) and sums
+# that are zero only modulo p.
+
+PRIMES = [GF7, GF32003]
+
+
+def _representative(rng, c, p):
+    """Another int representative of c mod p: negative, at least p, or a
+    product of two reduced elements as block_matrix emits."""
+    roll = rng.randrange(3)
+    if roll == 0:
+        return c - p * rng.randint(1, 3)
+    if roll == 1:
+        return c + p * rng.randint(1, 10 ** 6)
+    a = rng.randrange(1, p)
+    return a * (c * pow(a, -1, p) % p)
+
+
+def _relabel(rng, entries, nrows, ncols):
+    rperm, cperm = list(range(nrows)), list(range(ncols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return [(rperm[i], cperm[j], c) for i, j, c in entries]
+
+
+@pytest.mark.parametrize("field", PRIMES, ids=repr)
+def test_unreduced_representatives(field):
+    rng = random.Random(23 + field.char)
+    p = field.char
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        entries = random_entries(rng, field, nrows, ncols,
+                                 rng.choice([0.2, 0.4, 0.7]))
+        rank = dense_rank(entries, nrows, ncols, p)
+        raw = [(i, j, _representative(rng, c, p)) for i, j, c in entries]
+        check(raw, nrows, ncols, field, expect=rank)
+
+
+@pytest.mark.parametrize("field", PRIMES, ids=repr)
+def test_triples_summing_to_a_multiple_of_p(field):
+    p = field.char
+    # a lone column whose triples sum to p is a zero column
+    check([(0, 0, 3), (0, 0, p - 3)], 1, 1, field, expect=0)
+    check([(0, 0, 2 * p + 1), (0, 0, -1), (1, 0, -p)], 2, 1, field,
+          expect=0)
+    # the cancelled entry is the pivot candidate of its row
+    check([(0, 0, p - 1), (0, 0, 1), (0, 1, 5), (1, 1, 5 * p + 2)], 2, 2,
+          field, expect=1)
+    rng = random.Random(29 + p)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        entries = random_entries(rng, field, nrows, ncols, 0.4)
+        rank = dense_rank(entries, nrows, ncols, p)
+        noisy = list(entries)
+        for _k in range(rng.randint(1, 6)):
+            # two or three summands adding up to a nonzero multiple of p
+            i, j = rng.randrange(nrows), rng.randrange(ncols)
+            parts = [rng.randint(-3 * p, 3 * p)
+                     for _t in range(rng.randint(1, 2))]
+            total = p * rng.choice([-2, -1, 1, 3])
+            noisy += [(i, j, c) for c in parts] + [(i, j, total - sum(parts))]
+        rng.shuffle(noisy)
+        check(noisy, nrows, ncols, field, expect=rank)
+
+
+@pytest.mark.parametrize("field", PRIMES, ids=repr)
+def test_rank_is_invariant_under_relabeling(field):
+    rng = random.Random(31 + field.char)
+    p = field.char
+    for _ in range(20):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+        entries = random_entries(rng, field, nrows, ncols, 0.3)
+        entries += [(i, j, p * rng.randint(1, 4)) for i, j, _c in entries[:3]]
+        raw = [(i, j, _representative(rng, c, p)) for i, j, c in entries]
+        rank = check(raw, nrows, ncols, field)
+        for _k in range(3):
+            check(_relabel(rng, raw, nrows, ncols), nrows, ncols, field,
+                  expect=rank)
+
+
+def test_rationals_accept_int_representatives():
+    rng = random.Random(37)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        entries = [(i, j, rng.randint(-9, 9)) for i in range(nrows)
+                   for j in range(ncols) if rng.random() < 0.5]
+        check(entries, nrows, ncols, QQ)
+        check([(i, j, Fraction(c)) for i, j, c in entries], nrows, ncols, QQ)

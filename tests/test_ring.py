@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bigraded.errors import EmptyRing, NotBihomogeneous, ZeroPolynomial
+from bigraded.errors import (BigradedError, EmptyRing, InvalidSpace,
+                             NotBihomogeneous, ZeroPolynomial)
 from bigraded.ring import Poly, bidegree_of, make_ring, mono_key, mono_mul
 from helpers import random_sparse_poly
 
@@ -22,6 +23,14 @@ def test_empty_ring_guard():
     R = make_ring(-1, -1, allow_trivial=True)
     assert R.piece_dim(0, 0) == 1
     assert R.piece_dim(1, 0) == 0
+
+
+@pytest.mark.parametrize("m,n", [(-2, 1), (1, -2), (-5, -5)])
+def test_block_dimension_below_minus_one(m, n):
+    with pytest.raises(InvalidSpace) as err:
+        make_ring(m, n)
+    assert isinstance(err.value, BigradedError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_degenerate_blocks():

@@ -1,3 +1,6 @@
+import pytest
+
+from bigraded.errors import BigradedError, InvalidSpace
 from bigraded.regions import st_points
 from bigraded.sheaf import (LineBundleSum, chi, h0_monomial_basis,
                             h0_multiplication_surjective, kunneth_dim,
@@ -122,6 +125,15 @@ def test_upset_check_degenerate_factor():
     for pp in (-2, 0, 3):
         rep = sheaf_regularity_upset_check(F, 0, pp, (-5, 5, -5, 5))
         assert rep["ok"]
+
+
+@pytest.mark.parametrize("space", [(-2, 1), (1, -2), (-3, -3)])
+def test_block_dimension_below_minus_one(space):
+    # refused, not answered with an all-zero cohomology table
+    with pytest.raises(InvalidSpace) as err:
+        LineBundleSum(space, [(0, 0)])
+    assert isinstance(err.value, BigradedError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_section_monomial_basis():
