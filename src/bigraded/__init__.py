@@ -7,9 +7,9 @@ runs in exact arithmetic over the rationals or an odd prime field.
 """
 
 from .errors import (BigradedError, EmptyRing, InputError, InvalidField,
-                     InvalidIndex, InvalidRegion, InvalidSpace, NeedsWindow,
-                     NoStabilization, NotBihomogeneous, ResolutionTooLong,
-                     ZeroPolynomial)
+                     InvalidIndex, InvalidPower, InvalidRegion, InvalidSpace,
+                     NeedsWindow, NoStabilization, NotBihomogeneous,
+                     ResolutionTooLong, ZeroPolynomial)
 from .fields import QQ, PrimeField, field_from_spec
 from .groebner import (GroebnerBasis, buchberger, graded_piece,
                        ideal_presentation, ideal_quotient,
@@ -42,7 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigradedError", "EmptyRing", "InputError", "InvalidField",
-    "InvalidIndex", "InvalidRegion", "InvalidSpace", "NeedsWindow",
+    "InvalidIndex", "InvalidPower", "InvalidRegion", "InvalidSpace",
+    "NeedsWindow",
     "NoStabilization", "NotBihomogeneous", "ResolutionTooLong",
     "ZeroPolynomial",
     "QQ", "PrimeField", "field_from_spec",

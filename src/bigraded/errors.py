@@ -41,6 +41,10 @@ class NoStabilization(BigradedError):
     """Transition maps between Ext levels did not certify within nu_max."""
 
 
+class InvalidPower(BigradedError, ValueError):
+    """A power nu or bound nu_max of the Ext limit below 1."""
+
+
 class InvalidIndex(BigradedError):
     """Cohomological index outside the supported range."""
 

@@ -16,8 +16,8 @@ from collections import namedtuple
 from .errors import ZeroModule
 from .groebner import block_matrix, graded_piece, upset_nonvanishing_witness
 from .linalg import rank_entries
-from .localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation, \
-    local_cohomology_dim
+from .localcoh import IRRELEVANT, X, XY_SUM, Y, check_power, \
+    h0_via_saturation, local_cohomology_dim
 from .modules import FreeModule, ModuleMap, Presentation, vec_add
 from .regions import dreg, reg, reg_double_prime, reg_prime, \
     region_contains, st_points
@@ -110,6 +110,7 @@ def weak_regularity_check(M, p, pp, require_edge_vanishing=False, nu_max=8):
     (p, p') kills the torsion on Reg_{-1}(p, p') = {k >= p+1, k' >= p'+1},
     which contains both edge quadrants of (p+1, p'+1).
     """
+    check_power("nu_max", nu_max)
     ring = M.ring
     witnesses, undecided = [], []
 
@@ -153,6 +154,7 @@ def vc_window_verify(M, d, p, pp, window, nu_max=8):
     {"ok", "violations", "undecided"}; ok is None when nothing failed
     but some cell would not certify.
     """
+    check_power("nu_max", nu_max)
     ring = M.ring
     k0, k1, l0, l1 = window
     violations, undecided = [], []

@@ -4,12 +4,18 @@ Everything here recomputes mathematical facts from first principles --
 explicit Cech cochain complexes, dense row reduction, direct monomial
 spans -- sharing no linear algebra or Groebner machinery with the
 package, so package outputs can be checked against a second
-implementation.
+implementation.  The one exception is unskipped_local_cohomology_dim,
+the transition chase without the stable-power skip, kept as the
+reference that the skip changes no answer.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+from bigraded.errors import NoStabilization
+from bigraded.localcoh import (LocalCohomologyValue, _transition_is_iso,
+                               ext_graded_dim)
 
 
 def binom(n, k):
@@ -211,3 +217,26 @@ def random_sparse_poly(ring, rng, d, nterms=4, coeff_bound=50):
         c = rng.randrange(1, coeff_bound + 1) * rng.choice((1, -1))
         items.append((rng.choice(monos), ring.field.of(c)))
     return ring.from_terms(items)
+
+
+# ------------------------------------------------------ the unskipped chase
+
+
+def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
+    """local_cohomology_dim for i >= 1 (up to the complex length) as it was
+    before the stable-power skip: every transition the chase reads is
+    decided by its rank test."""
+    d = (int(d[0]), int(d[1]))
+    hs = {}
+    iso = {}
+    for t in range(1, nu_max - 1):
+        for s in (t, t + 1):
+            if s not in iso:
+                iso[s] = _transition_is_iso(M, kind, i, d, s, hs)
+        if iso[t] and iso[t + 1]:
+            return LocalCohomologyValue(hs[t], t, True)
+    if strict:
+        raise NoStabilization("no two consecutive stable transitions")
+    if nu_max not in hs:
+        hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
+    return LocalCohomologyValue(hs[nu_max], None, False)

@@ -286,6 +286,7 @@ def test_bad_window_is_input_error(doc, capsys):
 
 ZERO_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0) rels: e1\n"
 SHEAF = ["sheaf", "--a", "0", "--b", "0", "--window", "0:1,0:1"]
+LC_CELL = ["lc", R_DOC, "--ideal", "irr", "--i", "2", "--window", "0:0,0:0"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -295,7 +296,13 @@ SHEAF = ["sheaf", "--a", "0", "--b", "0", "--window", "0:1,0:1"]
      "line 1: m and n must be at least -1"),
     (SHEAF + ["--m", "-2", "--n", "1"], "--m and --n must be at least -1"),
     (SHEAF + ["--m", "1", "--n", "-2"], "--m and --n must be at least -1"),
-], ids=["frontier-zero", "verify-zero", "ring-m", "sheaf-m", "sheaf-n"])
+    (LC_CELL + ["--nu-max", "0"], "nu_max must be at least 1, got 0"),
+    (LC_CELL + ["--nu-max", "-1"], "nu_max must be at least 1, got -1"),
+    (["reg-weak", M_DOC, "--p", "1", "--pp", "1", "--nu-max", "0"],
+     "nu_max must be at least 1, got 0"),
+    (["verify", M_DOC, "--nu-max", "0"], "nu_max must be at least 1, got 0"),
+], ids=["frontier-zero", "verify-zero", "ring-m", "sheaf-m", "sheaf-n",
+        "lc-nu-zero", "lc-nu-negative", "reg-weak-nu-zero", "verify-nu-zero"])
 def test_bad_inputs_exit_three_with_message(doc, capsys, argv, message):
     argv = [doc(a) if a.startswith("ring") else a for a in argv]
     assert main(argv) == 3

@@ -2,15 +2,20 @@ import math
 
 import pytest
 
-from bigraded.errors import InvalidIndex, NoStabilization
+from bigraded.errors import (BigradedError, InvalidIndex, InvalidPower,
+                             NoStabilization)
 from bigraded.groebner import graded_piece
-from bigraded.localcoh import (IRRELEVANT, X, XY_SUM, Y, ext_graded_dim,
-                               free_lc_dim, h0_via_saturation, lc_table,
+from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y,
+                               _stable_power, _transition_is_iso,
+                               complex_length, ext_graded_dim, free_lc_dim,
+                               h0_via_saturation, lc_table,
                                local_cohomology_dim)
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation)
+from bigraded.resolutions import minimal_free_resolution
 from bigraded.sheaf import kunneth_dim
 from conftest import irrelevant_gens
+from helpers import unskipped_local_cohomology_dim
 
 
 def free(ring, gens=((0, 0),)):
@@ -42,6 +47,21 @@ def test_ext_index_out_of_range(P11):
         ext_graded_dim(R, X, 5, (0, 0), 1)
     with pytest.raises(InvalidIndex):
         local_cohomology_dim(R, X, 5, (0, 0))
+
+
+@pytest.mark.parametrize("nu", [0, -1])
+def test_powers_below_one_are_refused(P11, nu):
+    R = free(P11)
+    calls = [lambda: ext_graded_dim(R, X, 2, (-2, 0), nu),
+             lambda: local_cohomology_dim(R, IRRELEVANT, 2, (0, 0), nu),
+             lambda: local_cohomology_dim(R, IRRELEVANT, 0, (0, 0), nu),
+             lambda: lc_table(R, IRRELEVANT, 2, (1, 0, 0, 0), nu)]
+    for call in calls:
+        with pytest.raises(InvalidPower) as err:
+            call()
+        assert isinstance(err.value, BigradedError)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value).endswith("must be at least 1, got %d" % nu)
 
 
 # ------------------------------------------------------------------ colimits
@@ -236,3 +256,73 @@ def test_flattening_torsion_counts(P11):
                     if a + b == 0 or c + d == 0:
                         survivors += 1
         assert total == survivors
+
+
+# ------------------------------------------------------ the stable power
+
+
+def _reproducer(ring):
+    x0, y0, y1 = ring.var(0), ring.var(2), ring.var(3)
+    return quotient_presentation(ring, [x0 * x0, y0 * y0 * y1])
+
+
+def _resolution_nu0(M, d, gens):
+    """nu0(d) from the generator degrees of a resolution of M."""
+    m, n = M.ring.m, M.ring.n
+    return max([1] + [max(a - d[0] - m, b - d[1] - n) for a, b in gens])
+
+
+def _resolution_gens(M):
+    return [g for term in minimal_free_resolution(M).terms for g in term.gens]
+
+
+def test_stable_power_bounds_nu0_and_transitions(corpus):
+    # the skip in local_cohomology_dim rests on these two facts.  The
+    # cells are the corners and the centre of [-2, 0]^2, or [-1, 0]^2 on
+    # P1xP2, where the sum-ideal Koszul complex on five variables makes
+    # each cell about ten times dearer
+    for name, M in sorted(corpus.items()):
+        gens = _resolution_gens(M)
+        lo = -1 if M.ring.nvars > 4 else -2
+        cells = {(lo, lo), (lo, 0), (0, lo), (0, 0), (lo // 2, lo // 2)}
+        for d in sorted(cells):
+            bound = _stable_power(M, d)
+            assert bound >= _resolution_nu0(M, d, gens), (name, d)
+            for kind in KINDS:
+                for i in range(1, complex_length(M.ring, kind) + 1):
+                    for s in (bound, bound + 1):
+                        assert _transition_is_iso(M, kind, i, d, s, {}), \
+                            (name, kind, i, d, s)
+
+
+def test_stable_power_is_tight_on_reproducer(P11):
+    M = _reproducer(P11)
+    d = (0, -3)
+    assert _stable_power(M, d) == 5 == _resolution_nu0(
+        M, d, _resolution_gens(M))
+    assert [ext_graded_dim(M, Y, 1, d, nu)[0] for nu in (4, 5, 6, 7)] \
+        == [1, 3, 3, 3]
+    assert not _transition_is_iso(M, Y, 1, d, 4, {})
+    assert _transition_is_iso(M, Y, 1, d, 5, {})
+    assert _transition_is_iso(M, Y, 1, d, 6, {})
+
+
+def test_skip_leaves_every_answer_unchanged(P11, corpus):
+    names = ["R", "R(2,-1)", "m[P1xP1]", "R/m", "R/(x0y0)", "(x0^2y0y1)",
+             "x0^2(y0,y1)^1", "minors2x3"]
+    modules = [corpus[name] for name in names] + [_reproducer(P11)]
+    window = [(a, b) for a in range(-3, 2) for b in range(-3, 2)]
+    for M in modules:
+        for kind in KINDS:
+            for i in range(1, complex_length(M.ring, kind) + 1):
+                for d in window:
+                    for nu_max in (3, 6):
+                        want = unskipped_local_cohomology_dim(
+                            M, kind, i, d, nu_max)
+                        got = local_cohomology_dim(M, kind, i, d, nu_max)
+                        assert got == want, (kind, i, d, nu_max)
+                        if want.certified:
+                            continue
+                        with pytest.raises(NoStabilization):
+                            local_cohomology_dim(M, kind, i, d, nu_max,
+                                                 strict=True)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bigraded.errors import BigradedError
+from bigraded.errors import BigradedError, InvalidPower
 from bigraded.groebner import (graded_piece, ideal_presentation, normal_form,
                                presentation_gb)
 from bigraded.modules import free_presentation, quotient_presentation
@@ -132,6 +132,21 @@ def test_vc_window_detects_violation(P11):
 def test_vc_window_undecided(corpus):
     rep = vc_window_verify(corpus["R"], 0, 0, 0, (-2, 2, -2, 2), nu_max=2)
     assert rep["ok"] is None and rep["undecided"]
+
+
+@pytest.mark.parametrize("nu_max", [0, -1])
+def test_weak_checks_refuse_powers_below_one(corpus, nu_max):
+    # an empty window reaches no local cohomology cell, and is refused too
+    calls = [lambda: weak_regularity_check(corpus["R"], 0, 0, nu_max=nu_max),
+             lambda: vc_window_verify(corpus["R"], 0, 0, 0, (-1, 1, -1, 1),
+                                      nu_max=nu_max),
+             lambda: vc_window_verify(corpus["R"], 0, 0, 0, (1, 0, 1, 0),
+                                      nu_max=nu_max)]
+    for call in calls:
+        with pytest.raises(InvalidPower) as err:
+            call()
+        assert isinstance(err.value, BigradedError)
+        assert isinstance(err.value, ValueError)
 
 
 # ------------------------------------------------------------ multiplication
