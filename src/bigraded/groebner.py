@@ -18,7 +18,7 @@ from functools import partial
 
 from .modules import (FreeModule, ModuleMap, Presentation, term_key,
                       vec_bidegree, vec_from_poly, vec_mono_shift, vec_scale,
-                      vec_sub)
+                      vec_sub_shift)
 from .regions import upset_bounds
 from .ring import mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -31,8 +31,7 @@ def _lead(vec):
 
 def _nonzero(vec):
     """vec without its stored zero coefficients.  Input vectors pass
-    through here once: _reduce assumes there are none, since a stored zero
-    on a reducible term never leaves its work dict."""
+    through here once: _lead and _reduce assume there are none."""
     return {t: c for t, c in vec.items() if c != 0}
 
 
@@ -41,28 +40,39 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None):
     traced when expr is given.
 
     No monomial of the remainder is divisible by any lead.  Each step
+    takes the largest term t of f, and for the first lead that divides it
     subtracts c * x^q * elements[k] from f and, when tracing, c * x^q *
-    exprs[k] from expr.  Returns (remainder, expr).
+    exprs[k] from expr; both are copied once and updated in place.  The
+    terms of f wait in a heap keyed by the negated term_key, pushed when
+    they enter f; an entry whose term has since cancelled is skipped.
+    Returns (remainder, expr).
     """
     work = dict(f)
+    if expr is not None:
+        expr = dict(expr)
+    heap = [((-sum(e), e[::-1], gi), (gi, e)) for gi, e in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        t = max(work, key=term_key)
+    entered = []
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         gi, e = t
-        c = work[t]
-        hit = -1
         for k, (lgi, lu) in enumerate(leads):
             if lgi == gi and mono_divides(lu, e):
-                hit = k
                 break
-        if hit < 0:
+        else:
             rem[t] = work.pop(t)
             continue
-        q = mono_div(e, leads[hit][1])
-        work = vec_sub(field, work, vec_mono_shift(field, elements[hit], q, c))
+        q = mono_div(e, lu)
+        vec_sub_shift(field, work, elements[k], q, c, entered)
+        for gj, u in entered:
+            heapq.heappush(heap, ((-sum(u), u[::-1], gj), (gj, u)))
+        entered.clear()
         if expr is not None:
-            expr = vec_sub(field, expr,
-                           vec_mono_shift(field, exprs[hit], q, c))
+            vec_sub_shift(field, expr, exprs[k], q, c)
     return rem, expr
 
 # ---------------------------------------------------------------- S-pairs
@@ -101,12 +111,12 @@ def _spair(field, elements, leads, exprs, l, i, j):
     one = field.one
     qi = mono_div(l, leads[i][1])
     qj = mono_div(l, leads[j][1])
-    s = vec_sub(field, vec_mono_shift(field, elements[i], qi, one),
-                vec_mono_shift(field, elements[j], qj, one))
+    s = vec_mono_shift(field, elements[i], qi, one)
+    vec_sub_shift(field, s, elements[j], qj, one)
     sx = None
     if exprs[i] is not None:
-        sx = vec_sub(field, vec_mono_shift(field, exprs[i], qi, one),
-                     vec_mono_shift(field, exprs[j], qj, one))
+        sx = vec_mono_shift(field, exprs[i], qi, one)
+        vec_sub_shift(field, sx, exprs[j], qj, one)
     return _reduce(field, s, elements, leads, exprs, sx)
 
 # ------------------------------------------------------------- buchberger
@@ -181,18 +191,24 @@ def _buchberger_core(ring, module, items, use_chain_criterion):
 
 
 class GroebnerBasis:
+    """Elements are stored monic, without zero coefficients, and their
+    lead terms are computed once: normal_form divides by monic leads."""
+
     def __init__(self, ring, module, elements, reduced=True):
         self.ring = ring
         self.module = module
-        self.elements = list(elements)
+        self.elements = []
+        self.leads = []
+        for g in filter(None, map(_nonzero, elements)):
+            lt = _lead(g)
+            if g[lt] != ring.field.one:
+                g = vec_scale(ring.field, ring.field.inv(g[lt]), g)
+            self.elements.append(g)
+            self.leads.append(lt)
         self.reduced = reduced
 
     def __repr__(self):
         return "GroebnerBasis(%d elements)" % len(self.elements)
-
-    @property
-    def leads(self):
-        return [_lead(g) for g in self.elements]
 
     def contains(self, vec):
         return not normal_form(vec, self)

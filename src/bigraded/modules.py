@@ -6,6 +6,8 @@ term-over-position: monomials compare grevlex first, and equal monomials
 break ties toward the lower generator index.
 """
 
+from operator import add
+
 from .errors import NotBihomogeneous, ZeroPolynomial
 from .ring import Poly, mono_key, mono_mul
 
@@ -28,15 +30,25 @@ def vec_add(field, u, v):
     return out
 
 
-def vec_sub(field, u, v):
-    out = dict(u)
-    for t, c in v.items():
-        acc = field.sub(out.get(t, field.zero), c)
-        if acc == 0:
-            out.pop(t, None)
+def vec_sub_shift(field, acc, v, mono, coeff, entered=None):
+    """acc -= coeff * x^mono * v, in place; zeros are never stored.
+
+    Terms that were not stored in acc and now are get appended to the
+    list entered, when one is given.
+    """
+    p = field.char
+    for (gi, e), c in v.items():
+        t = (gi, tuple(map(add, e, mono)))
+        old = acc.get(t)
+        x = -coeff * c if old is None else old - coeff * c
+        if p:
+            x %= p
+        if x:
+            acc[t] = x
+            if old is None and entered is not None:
+                entered.append(t)
         else:
-            out[t] = acc
-    return out
+            acc.pop(t, None)
 
 
 def vec_scale(field, c, u):
@@ -51,11 +63,6 @@ def vec_mono_shift(field, u, mono, coeff):
         return {}
     return {(gi, mono_mul(e, mono)): field.mul(coeff, c)
             for (gi, e), c in u.items()}
-
-
-def vec_lead(u):
-    t = max(u, key=term_key)
-    return t, u[t]
 
 
 def vec_bidegree(ring, gens, u):
@@ -134,7 +141,7 @@ class ModuleMap:
         field = self.ring.field
         out = {}
         for (gi, e), c in vec.items():
-            out = vec_add(field, out, vec_mono_shift(field, self.cols[gi], e, c))
+            vec_sub_shift(field, out, self.cols[gi], e, field.neg(c))
         return out
 
     def compose(self, other):

@@ -11,17 +11,23 @@ each resolution step and minimize differ only in what they delete after.
 """
 
 import itertools
+import weakref
 
 from .errors import ResolutionTooLong
 from .linalg import rank_entries
-from .modules import FreeModule, ModuleMap, vec_mono_shift, vec_sub
+from .modules import FreeModule, ModuleMap, vec_sub_shift
 from .groebner import column_syzygies, presentation_gb
 
 # ---------------------------------------------------------------- complexes
 
 
 class FreeComplex:
-    """Chain complex of free modules; diffs[i] maps terms[i+1] -> terms[i]."""
+    """Chain complex of free modules; diffs[i] maps terms[i+1] -> terms[i].
+
+    The presented module, when given, is held by a weak reference: the
+    module caches its resolution, so a strong one would make a cycle that
+    only the cyclic garbage collector frees.
+    """
 
     def __init__(self, ring, terms, diffs, augmentation=None, minimal=False,
                  module=None):
@@ -29,11 +35,15 @@ class FreeComplex:
         self.terms = list(terms)
         self.diffs = list(diffs)
         self.augmentation = augmentation
-        self.module = module
+        self._module = None if module is None else weakref.ref(module)
         self.minimal = minimal
         for i, d in enumerate(self.diffs):
             assert d.target is self.terms[i] or d.target == self.terms[i]
             assert d.source is self.terms[i + 1] or d.source == self.terms[i + 1]
+
+    @property
+    def module(self):
+        return None if self._module is None else self._module()
 
     @property
     def length(self):
@@ -49,10 +59,13 @@ class FreeComplex:
                 return False
         if self.augmentation is not None and self.diffs:
             comp = self.augmentation.compose(self.diffs[0])
-            if self.module is not None:
+            if self._module is not None:
+                M = self._module()
+                if M is None:
+                    raise ReferenceError("the presented module was freed")
                 # the composite lands in the presented module, where it is
                 # zero exactly when every column is a relation
-                gb = presentation_gb(self.module)
+                gb = presentation_gb(M)
                 return all(gb.contains(col) for col in comp.cols)
             if not comp.is_zero():
                 return False
@@ -116,15 +129,9 @@ def _cancel_units(field, zm, cols):
         for l in list(cols):
             v = cols[l]
             gam = [(mono, cc) for (r2, mono), cc in v.items() if r2 == ri]
-            if not gam:
-                continue
             for mono, cc in gam:
-                v = vec_sub(field, v,
-                            vec_mono_shift(field, pcol, mono,
-                                           field.mul(cc, cinv)))
-            if v:
-                cols[l] = v
-            else:
+                vec_sub_shift(field, v, pcol, mono, field.mul(cc, cinv))
+            if not v:
                 del cols[l]
         cancelled.append((k, ri))
     return cancelled
@@ -264,7 +271,7 @@ def minimize(C):
         terms.pop()
         diffs.pop()
     return Resolution(ring, terms, diffs, augmentation=aug, minimal=True,
-                      module=getattr(C, "module", None))
+                      module=C.module)
 
 # ------------------------------------------------------------------- koszul
 
@@ -275,11 +282,10 @@ def _power_mono(ring, v, nu):
     return tuple(e)
 
 
-def koszul_complex(ring, var_indices, nu, truncated=False):
+def koszul_complex(ring, var_indices, nu):
     """Exterior-algebra complex on the nu-th powers of the given variables.
 
-    d(e_S) = sum over positions of (-1)^pos z^nu e_{S minus that variable};
-    the truncated variant drops the exterior degree 0 term.
+    d(e_S) = sum over positions of (-1)^pos z^nu e_{S minus that variable}.
     """
     vs = sorted(set(var_indices))
     field = ring.field
@@ -308,10 +314,6 @@ def koszul_complex(ring, var_indices, nu, truncated=False):
                 col[(index[rest], _power_mono(ring, v, nu))] = coeff
             cols.append(col)
         diffs.append(ModuleMap(ring, terms[p], terms[p - 1], cols))
-    if truncated:
-        terms = terms[1:]
-        diffs = diffs[1:]
-        levels = levels[1:]
     C = FreeComplex(ring, terms, diffs)
     C.gen_labels = levels
     return C

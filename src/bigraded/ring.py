@@ -6,27 +6,28 @@ is degree-reverse-lex on total degree with x0 > x1 > ... > xm > y0 > ... > yn.
 """
 
 import math
+from operator import add, le, sub
 
 from .errors import EmptyRing, InvalidSpace, NotBihomogeneous, ZeroPolynomial
 from .fields import field_from_spec
 
 
 def mono_mul(a, b):
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(i <= j for i, j in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """b / a, assuming a divides b."""
-    return tuple(j - i for i, j in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(i, j) for i, j in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_key(e):

@@ -81,6 +81,11 @@ CORPUS_NAMES = (
 @pytest.fixture(scope="session")
 def corpus(P11, P12, P01):
     """name -> Presentation for the standard corpus, all over F_32003."""
+    return build_corpus(P11, P12, P01)
+
+
+def build_corpus(P11, P12, P01):
+    """The corpus, built afresh on every call."""
     x0, x1, y0, y1 = (P11.var(i) for i in range(4))
     mods = {"R": free_presentation(P11, [(0, 0)])}
     for a, b in TWIST_RANGE:

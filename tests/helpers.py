@@ -4,9 +4,10 @@ Everything here recomputes mathematical facts from first principles --
 explicit Cech cochain complexes, dense row reduction, direct monomial
 spans -- sharing no linear algebra or Groebner machinery with the
 package, so package outputs can be checked against a second
-implementation.  The one exception is unskipped_local_cohomology_dim,
-the transition chase without the stable-power skip, kept as the
-reference that the skip changes no answer.
+implementation.  Two exceptions are kept as references for faster
+kernels: unskipped_local_cohomology_dim, the transition chase without
+the stable-power skip, and max_scan_reduce, the division that rescans
+for the largest term on every step instead of keeping a heap.
 """
 
 import itertools
@@ -240,3 +241,53 @@ def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
     if nu_max not in hs:
         hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
     return LocalCohomologyValue(hs[nu_max], None, False)
+
+
+# ------------------------------------------------ the max-scan reduction
+
+
+def _term_key(t):
+    # term-over-position grevlex, as documented in bigraded.modules
+    gi, e = t
+    return (sum(e), tuple(-c for c in reversed(e)), -gi)
+
+
+def _vec_sub_shifted(field, u, v, mono, coeff):
+    """u - coeff * x^mono * v as a new dict, through the field API."""
+    out = dict(u)
+    for (gi, e), c in v.items():
+        t = (gi, tuple(a + b for a, b in zip(e, mono)))
+        acc = field.sub(out.get(t, field.zero), field.mul(coeff, c))
+        if acc == 0:
+            out.pop(t, None)
+        else:
+            out[t] = acc
+    return out
+
+
+def max_scan_reduce(field, f, elements, leads, exprs=None, expr=None,
+                    history=None):
+    """groebner._reduce as it was before the heap: each step rescans f for
+    its largest term and rebuilds f and expr.  When history is a list,
+    the key set of f is appended to it before every step."""
+    work = dict(f)
+    rem = {}
+    while work:
+        if history is not None:
+            history.append(set(work))
+        t = max(work, key=_term_key)
+        gi, e = t
+        c = work[t]
+        hit = -1
+        for k, (lgi, lu) in enumerate(leads):
+            if lgi == gi and all(a <= b for a, b in zip(lu, e)):
+                hit = k
+                break
+        if hit < 0:
+            rem[t] = work.pop(t)
+            continue
+        q = tuple(b - a for a, b in zip(leads[hit][1], e))
+        work = _vec_sub_shifted(field, work, elements[hit], q, c)
+        if expr is not None:
+            expr = _vec_sub_shifted(field, expr, exprs[hit], q, c)
+    return rem, expr

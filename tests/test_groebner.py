@@ -7,20 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from bigraded.groebner import (_nf_table, buchberger, graded_piece,
+from bigraded.groebner import (_nf_table, _reduce, buchberger, graded_piece,
                                ideal_presentation, module_standard_pairs,
                                multiplication_matrix, normal_form,
                                presentation_gb, saturate, standard_pairs,
                                syzygies, upset_nonvanishing_witness,
                                vanishes_on_upset)
 from bigraded.modules import (FreeModule, free_presentation,
-                              quotient_presentation, vec_add, vec_bidegree,
-                              vec_from_poly, vec_lead, vec_mono_shift,
-                              vec_sub)
+                              quotient_presentation, term_key, vec_add,
+                              vec_bidegree, vec_from_poly, vec_mono_shift,
+                              vec_sub_shift)
 from bigraded.regions import reg, reg_prime, region_contains
 from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
-from helpers import span_piece_dim
+from helpers import max_scan_reduce, span_piece_dim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -122,14 +122,99 @@ print("ok")
     ("c", "{**c, (0, (2, 0, 1, 0)): 0}"),
 ], ids=["zero-on-reducible-term", "zero-on-lead-term"])
 def test_stored_zero_coefficients_are_dropped_on_entry(clean, noisy):
+    _run_probe(STORED_ZERO_PROBE % {"clean": clean, "noisy": noisy})
+
+
+def _run_probe(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = STORED_ZERO_PROBE % {"clean": clean, "noisy": noisy}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+# normal_form divides by the stored leads: a basis given with non-monic
+# elements (here 2*x0, and 2*x0 + 4*x1) must be stored monic, or the
+# reduction never ends
+NON_MONIC_PROBE = """
+from bigraded.groebner import GroebnerBasis, normal_form
+from bigraded.modules import FreeModule
+from bigraded.ring import make_ring
+R = make_ring(1, 1)
+fm = FreeModule([(0, 0)])
+x0, x1, x0x1, x1sq = [(0, e) for e in
+                      ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))]
+G = GroebnerBasis(R, fm, [{x0: 2}])
+assert normal_form({x0: 1}, G) == {}
+assert normal_form({x0x1: 3, x1sq: 5}, G) == {x1sq: 5}
+H = GroebnerBasis(R, fm, [{x0: 2, x1: 4, x0x1: 0}, {}])
+assert (H.elements, H.leads) == ([{x0: 1, x1: 2}], [x0])
+assert normal_form({x0: 1}, H) == {x1: R.field.of(-2)}
+print("ok")
+"""
+
+
+def test_normal_form_on_non_monic_basis_terminates():
+    _run_probe(NON_MONIC_PROBE)
+
+
+def _random_vec(rng, field, nterms, maxexp, rank):
+    out = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(maxexp + 1) for _ in range(4))
+        out[(rng.randrange(rank), e)] = field.of(rng.randrange(1, 7))
+    return out
+
+
+def _reentries(history):
+    """Terms that left the work dict and later came back."""
+    seen, gone, back = set(), set(), set()
+    for keys in history:
+        back |= gone & keys
+        gone |= seen - keys
+        seen |= keys
+    return back
+
+
+@pytest.mark.parametrize("spec", [7, 32003, "q"], ids=["GF7", "GF32003",
+                                                       "QQ"])
+def test_heap_reduce_matches_max_scan_oracle(spec):
+    # remainder and trace agree with the max-scan division term by term
+    # and in dict order, traced and untraced, on one and two positions;
+    # some inputs make a term cancel and later re-enter; the inputs are
+    # left untouched
+    field = make_ring(1, 1, field=spec).field
+    rng = random.Random("reduce-%s" % spec)
+    reentered = 0
+    for case in range(200):
+        rank = 1 + case // 2 % 2
+        elements, leads = [], []
+        for _ in range(rng.randrange(1, 6)):
+            g = _random_vec(rng, field, rng.randrange(1, 10), 1, rank)
+            lt = max(g, key=term_key)
+            inv = field.inv(g[lt])
+            elements.append({t: field.mul(inv, c) for t, c in g.items()})
+            leads.append(lt)
+        f = _random_vec(rng, field, rng.randrange(1, 12), 3, rank)
+        traced = case % 2 == 0
+        exprs = expr = None
+        if traced:
+            exprs = [_random_vec(rng, field, 3, 1, len(elements))
+                     for _ in elements]
+            expr = _random_vec(rng, field, 3, 1, len(elements))
+        f0, expr0 = dict(f), expr and dict(expr)
+        history = []
+        want = max_scan_reduce(field, f, elements, leads, exprs, expr,
+                               history)
+        got = _reduce(field, f, elements, leads, exprs, expr)
+        assert (f, expr) == (f0, expr0)
+        assert [list(v.items()) for v in got if v is not None] == \
+            [list(v.items()) for v in want if v is not None], case
+        assert (got[1] is None) == (not traced)
+        reentered += bool(_reentries(history))
+    assert reentered >= 5
 
 
 def test_buchberger_spair_postcondition(P11):
@@ -140,16 +225,13 @@ def test_buchberger_spair_postcondition(P11):
     els = G.elements
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            (gi, ei), ci = vec_lead(els[i])
-            (gj, ej), cj = vec_lead(els[j])
+            (gi, ei), (gj, ej) = G.leads[i], G.leads[j]
+            assert els[i][G.leads[i]] == els[j][G.leads[j]] == field.one
             if gi != gj:
                 continue
             l = mono_lcm(ei, ej)
-            s = vec_sub(field,
-                        vec_mono_shift(field, els[i], mono_div(l, ei),
-                                       field.inv(ci)),
-                        vec_mono_shift(field, els[j], mono_div(l, ej),
-                                       field.inv(cj)))
+            s = vec_mono_shift(field, els[i], mono_div(l, ei), field.one)
+            vec_sub_shift(field, s, els[j], mono_div(l, ej), field.one)
             assert normal_form(s, G) == {}
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,13 @@ from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
                               vec_add, vec_from_poly, vec_mono_shift)
+from bigraded.regularity import module_betti, strong_regularity_frontier
 from bigraded.resolutions import (FreeComplex, betti_table, homology_dims,
                                   irrelevant_resolution, koszul_complex,
                                   minimal_free_resolution, minimal_generators,
                                   minimize)
 from bigraded.ring import make_ring, mono_mul
-from conftest import irrelevant_gens, monomial_ideal
+from conftest import build_corpus, irrelevant_gens, monomial_ideal
 
 
 def assert_windowed_resolution(C, M, window):
@@ -84,14 +87,6 @@ def test_koszul_all_variables_squared(P11):
         h = homology_dims(C, d)
         assert all(v == 0 for v in h[1:])
         assert h[0] == graded_piece(M, d)[1]
-
-
-def test_koszul_truncated(P11):
-    C = koszul_complex(P11, [0, 1], 1, truncated=True)
-    assert [t.rank for t in C.terms] == [2, 1]
-    assert C.terms[0].gens == ((1, 0), (1, 0))
-    full = koszul_complex(P11, [0, 1], 1)
-    assert C.diffs[0].cols == full.diffs[1].cols
 
 
 def test_koszul_mixed_blocks_bidegrees(P11):
@@ -202,6 +197,36 @@ def test_corpus_resolutions_exact_and_minimal(corpus):
         b0 = min(b for _a, b in C.terms[0].gens) - 1
         window = [(a0 + i, b0 + j) for i in range(4) for j in range(4)]
         assert_windowed_resolution(C, M, window)
+
+
+def test_resolved_modules_are_freed_by_refcount(P11, P12, P01):
+    # a module caches its resolution, which refers back to the module only
+    # weakly: with the cyclic collector off, dropping the module frees it
+    mods = build_corpus(P11, P12, P01)
+    used_module = 0
+    gc.disable()
+    try:
+        for name in sorted(mods):
+            M = mods.pop(name)
+            module_betti(M)
+            strong_regularity_frontier(M)
+            C = minimal_free_resolution(M)
+            assert C.module is M
+            if C.diffs:
+                # the composite into F0 is zero only modulo the relations
+                comp = C.augmentation.compose(C.diffs[0])
+                used_module += not comp.is_zero()
+                assert C.composites_vanish(), name
+            alive = weakref.ref(M)
+            del M
+            assert alive() is None, name
+            assert C.module is None
+            if C.diffs:
+                with pytest.raises(ReferenceError):
+                    C.composites_vanish()
+    finally:
+        gc.enable()
+    assert used_module >= 2
 
 
 def test_resolution_over_rationals(P11q):
