@@ -9,7 +9,8 @@ Input grammar (line-oriented, ``#`` starts a comment):
 Polynomials use explicit ``*`` for products, ``^`` for powers and integer
 coefficients; variables are named x0..xm and y0..yn.  Relation terms name
 a generator with a 1-based ``e<k>`` factor.  The object declaration may
-continue over several lines.
+continue over several lines.  Coefficients, exponents, bidegrees and
+generator indices are ASCII digits.
 
 Output is aligned ASCII by default and a fixed JSON schema under
 ``--json``.  Exit codes: 0 success / positive verdict, 1 negative
@@ -18,12 +19,14 @@ verdict, 2 undecided, 3 input error.
 
 import argparse
 import json
+import re
 import sys
+from collections import namedtuple
 
 from .errors import BigradedError, InputError, NotBihomogeneous, \
     ZeroPolynomial
 from .groebner import graded_piece, ideal_presentation
-from .localcoh import IRRELEVANT, KINDS, X, XY_SUM, Y, lc_table
+from .localcoh import IRRELEVANT, X, XY_SUM, Y, lc_table
 from .modules import FreeModule, ModuleMap, Presentation, vec_add, \
     vec_bidegree
 from .regions import DREG, REG, REG_DOUBLE_PRIME, REG_PRIME, ST, dreg, reg, \
@@ -36,84 +39,77 @@ from .sheaf import LineBundleSum
 
 # ------------------------------------------------------------ input parsing
 
+# An ASCII integer, a run of letters and digits, or any other single
+# character.  A run is a name when it starts with a letter; one that
+# starts with a non-ASCII digit (say '²') fits nowhere in the grammar, so
+# it is reported at its first character.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|[^\W_]+|\S")
+_GEN_FACTOR = re.compile(r"e([0-9]+)")
 
-class _Scanner:
-    """Character stream over positioned fragments; positions are 1-based."""
+_Token = namedtuple("_Token", ["kind", "text", "line", "col"])
+
+
+def _error(line, col, msg, cls=InputError):
+    return cls("line %d, col %d: %s" % (line, col, msg))
+
+
+class _Tokens:
+    """Token stream over positioned fragments; positions are 1-based.
+
+    Kinds are 'int', 'name', 'char' and a final 'end', placed one column
+    past the last fragment.
+    """
 
     def __init__(self, fragments):
-        chars = []
+        self.toks = []
         for ln, c0, s in fragments:
-            for i, ch in enumerate(s):
-                chars.append((ch, ln, c0 + i))
-            chars.append((" ", ln, c0 + len(s)))
-        self.chars = chars
+            for m in _TOKEN.finditer(s):
+                text = m.group()
+                kind = m.lastgroup or ("name" if text[0].isalpha()
+                                       else "char")
+                self.toks.append(_Token(kind, text, ln, c0 + m.start() + 1))
+        ln, c0, s = fragments[-1]
+        self.toks.append(_Token("end", "", ln, c0 + len(s) + 1))
         self.i = 0
 
-    def pos(self):
-        if self.i < len(self.chars):
-            _, ln, c = self.chars[self.i]
-            return ln, c + 1
-        if self.chars:
-            _, ln, c = self.chars[-1]
-            return ln, c + 1
-        return 1, 1
+    def peek(self):
+        return self.toks[self.i]
 
     def error(self, msg):
-        ln, c = self.pos()
-        raise InputError("line %d, col %d: %s" % (ln, c, msg))
-
-    def _skip_ws(self):
-        while self.i < len(self.chars) and self.chars[self.i][0].isspace():
-            self.i += 1
-
-    def peek(self):
-        self._skip_ws()
-        return self.chars[self.i][0] if self.i < len(self.chars) else ""
-
-    def take(self):
-        ch = self.peek()
-        if ch:
-            self.i += 1
-        return ch
-
-    def eat(self, ch):
-        if self.peek() != ch:
-            self.error("expected %r" % ch)
-        self.i += 1
+        tok = self.peek()
+        raise _error(tok.line, tok.col, msg)
 
     def at_end(self):
-        return self.peek() == ""
+        return self.peek().kind == "end"
+
+    def accept(self, text):
+        if self.peek().text != text:
+            return False
+        self.i += 1
+        return True
+
+    def eat(self, text):
+        if not self.accept(text):
+            self.error("expected %r" % text)
+
+    def take(self, kind, msg):
+        tok = self.peek()
+        if tok.kind != kind:
+            self.error(msg)
+        self.i += 1
+        return tok
 
     def integer(self):
-        if not self.peek().isdigit():
-            self.error("expected an integer")
-        out = 0
-        while self.i < len(self.chars) and self.chars[self.i][0].isdigit():
-            out = out * 10 + int(self.chars[self.i][0])
-            self.i += 1
-        return out
+        return int(self.take("int", "expected an integer").text)
 
-    def signed_integer(self):
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        elif self.peek() == "+":
-            self.take()
-        return sign * self.integer()
-
-    def ident(self):
-        if not self.peek().isalpha():
-            self.error("expected a name")
-        out = []
-        while self.i < len(self.chars) and \
-                self.chars[self.i][0].isalnum():
-            out.append(self.chars[self.i][0])
-            self.i += 1
-        return "".join(out)
+    def sign(self):
+        if self.accept("-"):
+            return -1
+        self.accept("+")
+        return 1
 
 
-def _parse_product(sc, ring, gens=None):
+def _parse_product(ts, ring, gens=None):
     """One ``*``-separated product; returns (int coeff, exponents, e-index).
 
     With gens=None the product is a plain monomial term; otherwise a
@@ -123,120 +119,95 @@ def _parse_product(sc, ring, gens=None):
     exps = [0] * ring.nvars
     eidx = None
     while True:
-        ch = sc.peek()
-        if ch.isdigit():
-            coeff *= sc.integer()
-        elif ch.isalpha():
-            ln, c = sc.pos()
-            name = sc.ident()
-            if gens is not None and name[:1] == "e" and name[1:].isdigit():
+        tok = ts.peek()
+        if tok.kind == "int":
+            coeff *= ts.integer()
+        elif tok.kind == "name":
+            ts.i += 1
+            gen = gens is not None and _GEN_FACTOR.fullmatch(tok.text)
+            if gen:
+                k = int(gen.group(1))
                 if eidx is not None:
-                    sc.error("more than one generator factor in a term")
-                k = int(name[1:])
+                    raise _error(tok.line, tok.col + len(tok.text),
+                                 "more than one generator factor in a term")
                 if not 1 <= k <= len(gens):
-                    raise InputError(
-                        "line %d, col %d: generator index e%d out of range "
-                        "1..%d" % (ln, c, k, len(gens)))
+                    raise _error(tok.line, tok.col,
+                                 "generator index e%d out of range 1..%d"
+                                 % (k, len(gens)))
                 eidx = k - 1
             else:
-                v = ring._name_to_index.get(name)
+                v = ring._name_to_index.get(tok.text)
                 if v is None:
-                    raise InputError("line %d, col %d: unknown variable %r"
-                                     % (ln, c, name))
-                power = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    power = sc.integer()
-                exps[v] += power
+                    raise _error(tok.line, tok.col,
+                                 "unknown variable %r" % tok.text)
+                exps[v] += ts.integer() if ts.accept("^") else 1
         else:
-            sc.error("expected a coefficient, variable or generator factor")
-        if sc.peek() == "*":
-            sc.take()
-            continue
-        return coeff, tuple(exps), eidx
+            ts.error("expected a coefficient, variable or generator factor")
+        if not ts.accept("*"):
+            return coeff, tuple(exps), eidx
 
 
-def _parse_terms(sc, ring, gens=None):
+def _parse_terms(ts, ring, gens=None):
     """Signed sum of products up to ';' or end; list of (coeff, exps, eidx)."""
     out = []
-    sign = 1
-    if sc.peek() == "-":
-        sc.take()
-        sign = -1
-    elif sc.peek() == "+":
-        sc.take()
+    sign = ts.sign()
     while True:
-        coeff, exps, eidx = _parse_product(sc, ring, gens)
+        coeff, exps, eidx = _parse_product(ts, ring, gens)
         if gens is not None and eidx is None:
-            sc.error("every relation term needs a generator factor e<k>")
+            ts.error("every relation term needs a generator factor e<k>")
         out.append((sign * coeff, exps, eidx))
-        ch = sc.peek()
-        if ch == "+":
-            sc.take()
-            sign = 1
-        elif ch == "-":
-            sc.take()
-            sign = -1
-        elif ch == ";" or ch == "":
-            if ch:
-                sc.take()
+        if ts.accept(";") or ts.at_end():
             return out
-        else:
-            sc.error("expected '+', '-', ';' or end of declaration")
+        if ts.peek().text not in ("+", "-"):
+            ts.error("expected '+', '-', ';' or end of declaration")
+        sign = ts.sign()
 
 
-def _parse_ideal_body(sc, ring):
+def _parse_ideal_body(ts, ring):
     polys = []
-    while not sc.at_end():
-        ln, c = sc.pos()
-        terms = _parse_terms(sc, ring)
+    while not ts.at_end():
+        tok = ts.peek()
+        terms = _parse_terms(ts, ring)
         p = ring.from_terms((e, ring.field.of(cf)) for cf, e, _ in terms)
         try:
             p.bidegree()
         except ZeroPolynomial:
-            raise InputError("line %d, col %d: ideal generator is zero "
-                             "after reduction" % (ln, c))
+            raise _error(tok.line, tok.col,
+                         "ideal generator is zero after reduction")
         except NotBihomogeneous:
-            raise NotBihomogeneous(
-                "line %d, col %d: ideal generator is not bihomogeneous"
-                % (ln, c))
+            raise _error(tok.line, tok.col,
+                         "ideal generator is not bihomogeneous",
+                         NotBihomogeneous)
         polys.append(p)
     if not polys:
-        sc.error("an ideal needs at least one generator")
+        ts.error("an ideal needs at least one generator")
     return ideal_presentation(ring, polys)
 
 
-def _parse_module_body(sc, ring):
+def _parse_module_body(ts, ring):
     field = ring.field
-    kw = sc.ident() if sc.peek().isalpha() else sc.error("expected 'gens='")
-    if kw != "gens":
-        sc.error("expected 'gens='")
-    sc.eat("=")
+    tok = ts.take("name", "expected 'gens='")
+    if tok.text != "gens":
+        raise _error(tok.line, tok.col + len(tok.text), "expected 'gens='")
+    ts.eat("=")
     gens = []
-    while True:
-        sc.eat("(")
-        a = sc.signed_integer()
-        sc.eat(",")
-        b = sc.signed_integer()
-        sc.eat(")")
+    while not gens or ts.accept(","):
+        ts.eat("(")
+        a = ts.sign() * ts.integer()
+        ts.eat(",")
+        b = ts.sign() * ts.integer()
+        ts.eat(")")
         gens.append((a, b))
-        if sc.peek() == ",":
-            sc.take()
-            continue
-        break
     f0 = FreeModule(gens)
-    if sc.at_end():
+    if ts.at_end():
         return Presentation(ring, f0)
-    ln, c = sc.pos()
-    kw = sc.ident() if sc.peek().isalpha() else ""
-    if kw != "rels":
-        raise InputError("line %d, col %d: expected 'rels:' or end of "
-                         "declaration" % (ln, c))
-    sc.eat(":")
+    if not ts.accept("rels"):
+        ts.error("expected 'rels:' or end of declaration")
+    ts.eat(":")
     cols, degs = [], []
-    while not sc.at_end():
-        ln, c = sc.pos()
-        terms = _parse_terms(sc, ring, gens=gens)
+    while not ts.at_end():
+        tok = ts.peek()
+        terms = _parse_terms(ts, ring, gens=gens)
         vec = {}
         for coeff, exps, eidx in terms:
             vec = vec_add(field, vec, {(eidx, exps): field.of(coeff)})
@@ -245,81 +216,74 @@ def _parse_module_body(sc, ring):
         try:
             degs.append(vec_bidegree(ring, gens, vec))
         except NotBihomogeneous:
-            raise NotBihomogeneous(
-                "line %d, col %d: relation terms do not share a bidegree"
-                % (ln, c))
+            raise _error(tok.line, tok.col,
+                         "relation terms do not share a bidegree",
+                         NotBihomogeneous)
         cols.append(vec)
     rels = ModuleMap(ring, FreeModule(degs), f0, cols)
     return Presentation(ring, f0, rels)
 
 
+_BODIES = {"ideal:": _parse_ideal_body, "module:": _parse_module_body}
+
+
+def _parse_ring(ln, decl):
+    """The ring declaration ``decl`` on line ln; returns (ring, ring meta)."""
+    if not decl.startswith("ring"):
+        raise InputError("line %d: expected a ring declaration first" % ln)
+    fields = {}
+    for piece in decl[4:].split():
+        if "=" not in piece:
+            raise InputError("line %d: malformed ring declaration near %r"
+                             % (ln, piece))
+        k, _, v = piece.partition("=")
+        fields[k] = v
+    missing = {"field", "m", "n"} - set(fields)
+    if missing:
+        raise InputError("line %d: ring declaration is missing %s"
+                         % (ln, ", ".join(sorted(missing))))
+    try:
+        m, n = int(fields["m"]), int(fields["n"])
+    except ValueError:
+        raise InputError("line %d: m and n must be integers" % ln)
+    if m < -1 or n < -1:
+        raise InputError("line %d: m and n must be at least -1" % ln)
+    spec = fields["field"]
+    spec = "q" if spec.lower() in ("q", "qq") else spec
+    if spec != "q":
+        try:
+            spec = int(spec)
+        except ValueError:
+            raise InputError("line %d: field must be 'q' or a prime" % ln)
+    return make_ring(m, n, field=spec), {"field": spec, "m": m, "n": n}
+
+
 def parse_input(text):
     """Parse an input document; returns (ring, presentation, ring meta)."""
-    ring_meta = None
-    ring = None
-    body_kind = None
+    ring = body = None
     fragments = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
         if ring is None:
-            stripped = line.strip()
-            if not stripped.startswith("ring"):
-                raise InputError("line %d: expected a ring declaration first"
-                                 % ln)
-            fields = {}
-            for piece in stripped[4:].split():
-                if "=" not in piece:
-                    raise InputError("line %d: malformed ring declaration "
-                                     "near %r" % (ln, piece))
-                k, _, v = piece.partition("=")
-                fields[k] = v
-            missing = {"field", "m", "n"} - set(fields)
-            if missing:
-                raise InputError("line %d: ring declaration is missing %s"
-                                 % (ln, ", ".join(sorted(missing))))
-            try:
-                m, n = int(fields["m"]), int(fields["n"])
-            except ValueError:
-                raise InputError("line %d: m and n must be integers" % ln)
-            if m < -1 or n < -1:
-                raise InputError("line %d: m and n must be at least -1" % ln)
-            spec = fields["field"]
-            spec = "q" if spec.lower() in ("q", "qq") else spec
-            if spec != "q":
-                try:
-                    spec = int(spec)
-                except ValueError:
-                    raise InputError("line %d: field must be 'q' or a prime"
-                                     % ln)
-            ring = make_ring(m, n, field=spec)
-            ring_meta = {"field": spec, "m": m, "n": n}
-            continue
-        if body_kind is None:
+            ring, ring_meta = _parse_ring(ln, line.strip())
+        elif body is not None:
+            fragments.append((ln, 0, line))
+        else:
             stripped = line.lstrip()
-            col0 = len(line) - len(stripped)
-            if stripped.startswith("ideal:"):
-                body_kind = "ideal"
-                fragments.append((ln, col0 + 6, stripped[6:]))
-            elif stripped.startswith("module:"):
-                body_kind = "module"
-                fragments.append((ln, col0 + 7, stripped[7:]))
-            else:
+            head = next((h for h in _BODIES if stripped.startswith(h)), None)
+            if head is None:
                 raise InputError("line %d: expected 'ideal:' or 'module:'"
                                  % ln)
-        else:
-            fragments.append((ln, 0, line))
+            body = _BODIES[head]
+            fragments.append((ln, len(line) - len(stripped) + len(head),
+                              stripped[len(head):]))
     if ring is None:
         raise InputError("empty input: no ring declaration")
-    if body_kind is None:
+    if body is None:
         raise InputError("no 'ideal:' or 'module:' declaration")
-    sc = _Scanner(fragments)
-    if body_kind == "ideal":
-        M = _parse_ideal_body(sc, ring)
-    else:
-        M = _parse_module_body(sc, ring)
-    return ring, M, ring_meta
+    return ring, body(_Tokens(fragments), ring), ring_meta
 
 # ------------------------------------------------------------- rendering
 
@@ -344,13 +308,6 @@ def _parse_pair(text, what):
     return a, b
 
 
-def _emit(args, payload, ascii_text):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(ascii_text)
-
-
 def _betti_json(betti):
     return {str(d): [[a, b, mult] for (a, b), mult in sorted(seen.items())]
             for d, seen in betti_multiplicities(betti).items()}
@@ -365,27 +322,27 @@ def _betti_ascii(betti):
     return "\n".join(lines) if lines else "zero module"
 
 
-def _frontier_ascii(points):
-    return "[" + ",".join("(%d,%d)" % pt for pt in points) + "]"
-
-
-def _verdict_word(value):
+def _outcome(value):
+    """Word and exit code of a true, false or undecided (None) answer."""
     if value is None:
-        return "undecided"
-    return "true" if value else "false"
+        return "undecided", 2
+    return ("true", 0) if value else ("false", 1)
 
 
-def _verdict_json(v):
-    return {"value": v.value,
-            "witnesses": [[i, list(pt), dim] for i, pt, dim in v.witnesses],
-            "undecided": [[i, list(pt)] for i, pt in v.undecided],
-            "method": v.method, "certified": v.certified}
-
-
-def _verdict_exit(value):
-    if value is None:
-        return 2
-    return 0 if value else 1
+def _verdict(kind, args, v, witness):
+    """Exit code, JSON payload and ASCII report of a regularity verdict at
+    (args.p, args.pp); ``witness`` formats one (i, (a, b), n) witness."""
+    word, code = _outcome(v.value)
+    lines = ["%s regularity at (%d,%d): %s" % (kind, args.p, args.pp, word)]
+    lines += [witness % (i, a, b, n) for i, (a, b), n in v.witnesses]
+    lines += ["undecided: H^%d at (%d,%d)" % (i, k, kp)
+              for i, (k, kp) in v.undecided]
+    payload = {"verdict": {
+        "value": v.value,
+        "witnesses": [[i, list(pt), n] for i, pt, n in v.witnesses],
+        "undecided": [[i, list(pt)] for i, pt in v.undecided],
+        "method": v.method, "certified": v.certified}}
+    return code, payload, "\n".join(lines)
 
 
 def _grid_json(i, window, dims, uncertified=(), **extra):
@@ -416,68 +373,47 @@ def _grid_ascii(title, window, dims, uncertified=()):
     return "\n".join(lines)
 
 # ------------------------------------------------------------- subcommands
+#
+# Each returns (exit code, JSON payload, ASCII text).  Those that read an
+# input document get its presentation M; main adds the "ring" entry.
 
 
-def _cmd_betti(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_betti(args, M):
     betti = module_betti(M)
-    payload = {"ring": meta, "betti": _betti_json(betti)}
-    _emit(args, payload, _betti_ascii(betti))
-    return 0
+    return 0, {"betti": _betti_json(betti)}, _betti_ascii(betti)
 
 
-def _cmd_frontier(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_frontier(args, M):
     points = strong_regularity_frontier(M)
-    payload = {"ring": meta, "frontier": [list(pt) for pt in points]}
-    _emit(args, payload, _frontier_ascii(points))
-    return 0
+    return (0, {"frontier": [list(pt) for pt in points]},
+            "[" + ",".join("(%d,%d)" % pt for pt in points) + "]")
 
 
-def _cmd_reg_strong(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_reg_strong(args, M):
     v = strong_regularity_check(M, args.p, args.pp)
-    lines = ["strong regularity at (%d,%d): %s"
-             % (args.p, args.pp, _verdict_word(v.value))]
-    for d, (a, b), mult in v.witnesses:
-        lines.append("witness: level %d bidegree (%d,%d) multiplicity %d"
-                     % (d, a, b, mult))
-    _emit(args, {"ring": meta, "verdict": _verdict_json(v)},
-          "\n".join(lines))
-    return _verdict_exit(v.value)
+    return _verdict("strong", args, v,
+                    "witness: level %d bidegree (%d,%d) multiplicity %d")
 
 
-def _cmd_reg_weak(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_reg_weak(args, M):
     v = weak_regularity_check(M, args.p, args.pp,
                               require_edge_vanishing=args.edges,
                               nu_max=args.nu_max)
-    lines = ["weak regularity at (%d,%d): %s"
-             % (args.p, args.pp, _verdict_word(v.value))]
-    for i, (k, kp), dim in v.witnesses:
-        lines.append("witness: H^%d at (%d,%d) dim %d" % (i, k, kp, dim))
-    for i, (k, kp) in v.undecided:
-        lines.append("undecided: H^%d at (%d,%d)" % (i, k, kp))
-    _emit(args, {"ring": meta, "verdict": _verdict_json(v)},
-          "\n".join(lines))
-    return _verdict_exit(v.value)
+    return _verdict("weak", args, v, "witness: H^%d at (%d,%d) dim %d")
 
 
 _IDEAL_FLAGS = {"x": X, "y": Y, "sum": XY_SUM, "irr": IRRELEVANT}
 
 
-def _cmd_lc(args):
-    ring, M, meta = parse_input(_read(args.file))
-    kind = _IDEAL_FLAGS[args.ideal]
+def _cmd_lc(args, M):
     window = _parse_window(args.window)
-    table = lc_table(M, kind, args.i, window, nu_max=args.nu_max)
-    payload = {"ring": meta,
-               "grid": _grid_json(args.i, window, table["dims"],
-                                  table["uncertified"])}
+    table = lc_table(M, _IDEAL_FLAGS[args.ideal], args.i, window,
+                     nu_max=args.nu_max)
+    dims, uncertified = table["dims"], table["uncertified"]
     title = "H^%d at ideal '%s'" % (args.i, args.ideal)
-    _emit(args, payload,
-          _grid_ascii(title, window, table["dims"], table["uncertified"]))
-    return 0 if not table["uncertified"] else 2
+    return (2 if uncertified else 0,
+            {"grid": _grid_json(args.i, window, dims, uncertified)},
+            _grid_ascii(title, window, dims, uncertified))
 
 
 def _cmd_sheaf(args):
@@ -492,47 +428,42 @@ def _cmd_sheaf(args):
                "grid": _grid_json(args.i, window, dims)}
     title = "H^%d of O(%d,%d) twists over the window" \
         % (args.i, args.a, args.b)
-    _emit(args, payload, _grid_ascii(title, window, dims))
-    return 0
+    return 0, payload, _grid_ascii(title, window, dims)
 
 
-_REGION_KINDS = (ST, REG, REG_PRIME, REG_DOUBLE_PRIME, DREG)
+# constructors by region kind, in the order --kind lists them
+_REGIONS = {ST: st, REG: reg, REG_PRIME: reg_prime,
+            REG_DOUBLE_PRIME: reg_double_prime, DREG: dreg}
 
 
 def _cmd_region(args):
     window = _parse_window(args.window)
     if args.kind in (REG_PRIME, REG_DOUBLE_PRIME):
-        R = (reg_prime if args.kind == REG_PRIME
-             else reg_double_prime)(args.p, args.pp)
+        R = _REGIONS[args.kind](args.p, args.pp)
+    elif args.i is None:
+        raise InputError("--i is required for kind %s" % args.kind)
     else:
-        if args.i is None:
-            raise InputError("--i is required for kind %s" % args.kind)
-        ctor = {ST: st, REG: reg, DREG: dreg}[args.kind]
-        R = ctor(args.i, args.p, args.pp)
+        R = _REGIONS[args.kind](args.i, args.p, args.pp)
     k0, k1, l0, l1 = window
     dims = [[1 if region_contains(R, k, kp) else 0
              for kp in range(l0, l1 + 1)] for k in range(k0, k1 + 1)]
     payload = {"grid": _grid_json(args.i, window, dims, kind=args.kind)}
-    _emit(args, payload, region_ascii(R, window))
-    return 0
+    return 0, payload, region_ascii(R, window)
 
 
-def _cmd_mult(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_mult(args, M):
     frm = _parse_pair(getattr(args, "from"), "--from")
     step = _parse_pair(args.step, "--step")
     if step[0] < 0 or step[1] < 0:
         raise InputError("--step must be componentwise nonnegative")
     ok = multiplication_surjectivity(M, frm, step)
-    payload = {"ring": meta,
-               "mult": {"from": list(frm), "step": list(step),
-                        "surjective": ok}}
-    _emit(args, payload, "surjective: %s" % ("true" if ok else "false"))
-    return 0 if ok else 1
+    word, code = _outcome(ok)
+    return (code, {"mult": {"from": list(frm), "step": list(step),
+                            "surjective": ok}},
+            "surjective: %s" % word)
 
 
-def _cmd_verify(args):
-    ring, M, meta = parse_input(_read(args.file))
+def _cmd_verify(args, M):
     checks = []
 
     def record(name, status, detail=""):
@@ -543,22 +474,12 @@ def _cmd_verify(args):
     record("resolution-composites-vanish",
            "ok" if C.composites_vanish() else "FAIL")
 
-    euler_ok = True
-    detail = ""
-    for k in range(-2, 5):
-        for kp in range(-2, 5):
-            total = 0
-            for d, term in enumerate(C.terms):
-                s = sum(ring.piece_dim(k - a, kp - b) for a, b in term.gens)
-                total += s if d % 2 == 0 else -s
-            if total != graded_piece(M, (k, kp))[1]:
-                euler_ok = False
-                detail = "mismatch at (%d,%d)" % (k, kp)
-                break
-        if not euler_ok:
-            break
-    record("resolution-euler-characteristic", "ok" if euler_ok else "FAIL",
-           detail)
+    bad = next(((k, kp) for k in range(-2, 5) for kp in range(-2, 5)
+                if sum((-1) ** d * term.piece_dim(M.ring, (k, kp))
+                       for d, term in enumerate(C.terms))
+                != graded_piece(M, (k, kp))[1]), None)
+    record("resolution-euler-characteristic", "ok" if bad is None else "FAIL",
+           "" if bad is None else "mismatch at (%d,%d)" % bad)
 
     frontier = strong_regularity_frontier(M)
     strong_ok = all(strong_regularity_check(M, p, pp).value
@@ -592,13 +513,10 @@ def _cmd_verify(args):
     lines = ["%s: %s%s" % (c["name"], c["status"],
                            " (%s)" % c["detail"] if c["detail"] else "")
              for c in checks]
-    failed = any(c["status"] == "FAIL" for c in checks)
-    undecided = any(c["status"] == "undecided" for c in checks)
-    code = 1 if failed else (2 if undecided else 0)
-    _emit(args, {"ring": meta, "verify": {"checks": checks,
-                                          "ok": not failed and not undecided}},
-          "\n".join(lines))
-    return code
+    statuses = {c["status"] for c in checks}
+    code = 1 if "FAIL" in statuses else (2 if "undecided" in statuses else 0)
+    return code, {"verify": {"checks": checks, "ok": code == 0}}, \
+        "\n".join(lines)
 
 # ----------------------------------------------------------------- driver
 
@@ -615,81 +533,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
+def _int(**kw):
+    return dict(type=int, **kw)
+
+
+_PAIR = (("--p", _int(required=True)), ("--pp", _int(required=True)))
+_NU_MAX = ("--nu-max", _int(default=8, dest="nu_max"))
+_WINDOW = ("--window", dict(required=True, help="k0:k1,l0:l1"))
+
+# (name, help, reads an input document, handler, options after --json and
+# --seed, in the order --help lists them)
+_COMMANDS = (
+    ("betti", "Betti table of the minimal resolution", True, _cmd_betti, ()),
+    ("frontier", "minimal strong-regularity pairs", True, _cmd_frontier, ()),
+    ("reg-strong", "strong regularity at a pair", True, _cmd_reg_strong,
+     _PAIR),
+    ("reg-weak", "weak regularity at a pair", True, _cmd_reg_weak,
+     _PAIR + (("--edges", dict(action="store_true", help="also require "
+                               "vanishing on the two edge quadrants")),
+              _NU_MAX)),
+    ("lc", "local cohomology dimensions on a window", True, _cmd_lc,
+     (("--ideal", dict(choices=sorted(_IDEAL_FLAGS), required=True)),
+      ("--i", _int(required=True)), _WINDOW, _NU_MAX)),
+    ("sheaf", "twisted line-bundle cohomology grid", False, _cmd_sheaf,
+     tuple((f, _int(required=True)) for f in ("--m", "--n", "--a", "--b"))
+     + (("--i", _int(default=0)), _WINDOW)),
+    ("region", "ASCII picture of a lattice region", False, _cmd_region,
+     (("--kind", dict(choices=tuple(_REGIONS), required=True)),
+      ("--i", _int(default=None)), ("--p", _int(default=0)),
+      ("--pp", _int(default=0)), _WINDOW)),
+    ("mult", "is multiplication onto a later piece?", True, _cmd_mult,
+     (("--from", dict(required=True, help="a,b", dest="from")),
+      ("--step", dict(required=True, help="c,d")))),
+    ("verify", "cross-validation suite on a module", True, _cmd_verify,
+     (_NU_MAX,)),
+)
+
+
 def build_parser():
     ap = _Parser(prog="bigraded",
                  description="Bigraded regularity toolkit for modules over "
                              "a product of projective spaces.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
+    for name, help_text, reads_file, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if reads_file:
             p.add_argument("file", help="input document ('-' for stdin)")
         p.add_argument("--json", action="store_true",
                        help="emit the JSON schema instead of ASCII")
         p.add_argument("--seed", type=int, default=None,
                        help="reserved; no randomized behavior in v1")
-
-    p = sub.add_parser("betti", help="Betti table of the minimal resolution")
-    common(p)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("frontier", help="minimal strong-regularity pairs")
-    common(p)
-    p.set_defaults(func=_cmd_frontier)
-
-    p = sub.add_parser("reg-strong", help="strong regularity at a pair")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--pp", type=int, required=True)
-    p.set_defaults(func=_cmd_reg_strong)
-
-    p = sub.add_parser("reg-weak", help="weak regularity at a pair")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--pp", type=int, required=True)
-    p.add_argument("--edges", action="store_true",
-                   help="also require vanishing on the two edge quadrants")
-    p.add_argument("--nu-max", type=int, default=8, dest="nu_max")
-    p.set_defaults(func=_cmd_reg_weak)
-
-    p = sub.add_parser("lc", help="local cohomology dimensions on a window")
-    common(p)
-    p.add_argument("--ideal", choices=sorted(_IDEAL_FLAGS), required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--window", required=True, help="k0:k1,l0:l1")
-    p.add_argument("--nu-max", type=int, default=8, dest="nu_max")
-    p.set_defaults(func=_cmd_lc)
-
-    p = sub.add_parser("sheaf", help="twisted line-bundle cohomology grid")
-    common(p, needs_file=False)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--window", required=True, help="k0:k1,l0:l1")
-    p.set_defaults(func=_cmd_sheaf)
-
-    p = sub.add_parser("region", help="ASCII picture of a lattice region")
-    common(p, needs_file=False)
-    p.add_argument("--kind", choices=_REGION_KINDS, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--pp", type=int, default=0)
-    p.add_argument("--window", required=True, help="k0:k1,l0:l1")
-    p.set_defaults(func=_cmd_region)
-
-    p = sub.add_parser("mult", help="is multiplication onto a later piece?")
-    common(p)
-    p.add_argument("--from", required=True, help="a,b", dest="from")
-    p.add_argument("--step", required=True, help="c,d")
-    p.set_defaults(func=_cmd_mult)
-
-    p = sub.add_parser("verify", help="cross-validation suite on a module")
-    common(p)
-    p.add_argument("--nu-max", type=int, default=8, dest="nu_max")
-    p.set_defaults(func=_cmd_verify)
-
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func, reads_file=reads_file)
     return ap
 
 
@@ -699,29 +595,27 @@ _MERGE_FLAGS = ("--window", "--from", "--step")
 def _merge_negative_values(argv):
     """Join '--window -4:1,...'-style pairs so argparse does not mistake a
     leading minus for an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _MERGE_FLAGS and i + 1 < len(argv):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, rest = [], list(argv)
+    while rest:
+        tok = rest.pop(0)
+        out.append(tok + "=" + rest.pop(0) if tok in _MERGE_FLAGS and rest
+                   else tok)
     return out
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(_merge_negative_values(argv))
+    args = build_parser().parse_args(_merge_negative_values(argv))
     try:
-        return args.func(args)
-    except BigradedError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
+        if args.reads_file:
+            _ring, M, meta = parse_input(_read(args.file))
+            code, payload, text = args.func(args, M)
+            payload["ring"] = meta
+        else:
+            code, payload, text = args.func(args)
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
+        return code
+    except (BigradedError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -505,15 +505,15 @@ def saturate(M, ideal_gens):
     for p in polys:
         p.bidegree()
 
-    cur = ngens0
+    gb0 = presentation_gb(M)
+    cur, gb_cur = ngens0, gb0
     while True:
         nxt = ideal_quotient(ring, F, cur, polys)
-        gb_cur = buchberger(ring, F, cur)
         if not any(normal_form(v, gb_cur) for v in nxt):
             break
         cur = nxt
+        gb_cur = buchberger(ring, F, cur)
 
-    gb0 = buchberger(ring, F, ngens0)
     kept = [v for v in cur if normal_form(v, gb0)]
     if not kept:
         return Presentation(ring, FreeModule([]))

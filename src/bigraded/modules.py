@@ -9,7 +9,7 @@ break ties toward the lower generator index.
 from operator import add
 
 from .errors import NotBihomogeneous, ZeroPolynomial
-from .ring import Poly, mono_key, mono_mul
+from .ring import mono_key, mono_mul
 
 # ---------------------------------------------------------------- vectors
 
@@ -131,10 +131,6 @@ class ModuleMap:
 
     def is_zero(self):
         return all(not col for col in self.cols)
-
-    def entry(self, i, j):
-        terms = {e: c for (gi, e), c in self.cols[j].items() if gi == i}
-        return Poly(self.ring, terms)
 
     def apply(self, vec):
         """Image of an element given in source coordinates."""

@@ -224,15 +224,6 @@ class Poly:
             raise NotBihomogeneous("mixed bidegrees %s" % sorted(degs))
         return next(iter(degs))
 
-    def is_bihomogeneous(self):
-        if not self.terms:
-            return True
-        return len({self.ring.mono_bidegree(e) for e in self.terms}) == 1
-
-    def lead(self):
-        e = max(self.terms, key=mono_key)
-        return e, self.terms[e]
-
     def __str__(self):
         if not self.terms:
             return "0"

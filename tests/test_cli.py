@@ -1,10 +1,11 @@
 import io
 import json
+import random
 
 import pytest
 
 from bigraded.cli import _merge_negative_values, main, parse_input
-from bigraded.errors import InputError, NotBihomogeneous
+from bigraded.errors import BigradedError, InputError, NotBihomogeneous
 from bigraded.regularity import module_betti
 
 M_DOC = "ring field=32003 m=1 n=1\nideal: x0*y0; x0*y1; x1*y0; x1*y1\n"
@@ -84,11 +85,51 @@ def test_parse_errors_carry_positions():
          "line 1: m and n must be at least -1"),
         ("ring field=32003 m=1 n=-2\nideal: x0", InputError,
          "line 1: m and n must be at least -1"),
+        # integers are ASCII digits; '²'.isdigit() holds but int() rejects it
+        ("ring field=32003 m=1 n=1\nideal: x0^²*y0", InputError,
+         "line 2, col 11: expected an integer"),
+        ("ring field=32003 m=1 n=1\nideal: ²*x0*y0", InputError,
+         "line 2, col 8: expected a coefficient, variable or generator factor"),
+        ("ring field=32003 m=1 n=1\nmodule: gens=(²,0)", InputError,
+         "line 2, col 15: expected an integer"),
+        ("ring field=32003 m=1 n=1\nideal: x1^2²y1", InputError,
+         "line 2, col 12: expected '+', '-', ';' or end of declaration"),
     ]
     for text, exc, message in cases:
         with pytest.raises(exc) as info:
             parse_input(text)
         assert str(info.value) == message
+
+
+FUZZ_DOCS = [
+    M_DOC, Q_DOC,
+    "ring field=q m=0 n=1\nideal: x0^2*y0; -3*x0^2*y1 + x0^2*y0\n",
+    "ring field=7 m=1 n=1\nmodule: gens=(-1,2),(0,0)\n"
+    "  rels: x0*y0*e2; 2*x1^3*e1 - y1*e2  # two relations\n",
+]
+FUZZ_ALPHABET = "0123456789xyeq^*+-;:,()=# \n\tgensrlidmf\u00b2\u0663\u00e9_"
+
+
+def test_parser_fuzz_raises_only_input_errors():
+    # random single-character edits of valid documents: whatever the text,
+    # parse_input answers or raises a BigradedError (exit 3 in the CLI)
+    rng = random.Random(13)
+    escapes = []
+    for _ in range(3000):
+        text = rng.choice(FUZZ_DOCS)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            ch = rng.choice(FUZZ_ALPHABET)
+            text = rng.choice([text[:i] + ch + text[i:],
+                               text[:i] + ch + text[i + 1:],
+                               text[:i] + text[i + 1:]])
+        try:
+            parse_input(text)
+        except BigradedError:
+            pass
+        except Exception as exc:  # any other exception is a traceback
+            escapes.append((text, repr(exc)))
+    assert escapes == []
 
 
 # -------------------------------------------------------------- subcommands
