@@ -6,11 +6,11 @@ class BigradedError(Exception):
 
 
 class InvalidField(BigradedError):
-    """Field spec is neither the rationals nor an odd prime."""
+    """Field spec is neither the rationals nor an odd prime below 2^63."""
 
 
 class InvalidSpace(BigradedError, ValueError):
-    """A block dimension m or n is below -1."""
+    """A block dimension m or n is below -1 or above ring.MAX_BLOCK."""
 
 
 class EmptyRing(BigradedError):

@@ -3,6 +3,10 @@
 Rational elements are fractions.Fraction; prime-field elements are plain ints
 normalized into [0, p).  Every operation returns a normalized element, so
 ``a == 0`` is always a valid zero test on either backend.
+
+A prime modulus must lie below 2^63: normal-form rows store residues as
+signed 64-bit ints, and below that bound the Miller-Rabin test of
+_is_prime is deterministic (it is for every n < 3.3e24).
 """
 
 from fractions import Fraction
@@ -10,6 +14,7 @@ from fractions import Fraction
 from .errors import InvalidField
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_LIMIT = 2 ** 63  # every prime modulus is below this
 
 
 def _is_prime(n):
@@ -71,8 +76,10 @@ class RationalField:
 
 class PrimeField:
     def __init__(self, p):
-        if not isinstance(p, int) or p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise InvalidField("modulus must be an odd prime, got %r" % (p,))
+        if (not isinstance(p, int) or p < 3 or p % 2 == 0
+                or p >= MODULUS_LIMIT or not _is_prime(p)):
+            raise InvalidField("modulus must be an odd prime below 2^63, "
+                               "got %r" % (p,))
         self.p = p
         self.char = p
         self.zero = 0

@@ -332,15 +332,28 @@ def presentation_gb(M):
     return M._cache["gb"]
 
 
+def _leads_at(M):
+    """The reduced basis of M grouped by generator: gen -> list of (lead
+    monomial, tail terms), in basis order."""
+    if "leads_at" not in M._cache:
+        gb = presentation_gb(M)
+        by_gen = {}
+        for g, lt in zip(gb.elements, gb.leads):
+            by_gen.setdefault(lt[0], []).append(
+                (lt[1], [(t, c) for t, c in g.items() if t != lt]))
+        M._cache["leads_at"] = by_gen
+    return M._cache["leads_at"]
+
+
 def graded_piece(M, d):
     """Standard-monomial basis of M at bidegree d, and its dimension."""
     d = (int(d[0]), int(d[1]))
     key = ("piece", d)
     if key not in M._cache:
-        leads = presentation_gb(M).leads
+        by_gen = _leads_at(M)
         basis = [(gi, e) for gi, e in M.f0.piece_basis(M.ring, d)
-                 if not any(lgi == gi and mono_divides(lu, e)
-                            for lgi, lu in leads)]
+                 if not any(mono_divides(lu, e)
+                            for lu, _tail in by_gen.get(gi, ()))]
         M._cache[key] = basis
     basis = M._cache[key]
     return basis, len(basis)
@@ -366,13 +379,7 @@ def _nf_table(M, D):
         field = M.ring.field
         p = field.char
         pack = partial(array, "q") if p else tuple
-        gb = presentation_gb(M)
-        leads = gb.leads
-        tails = []
-        for g, lt in zip(gb.elements, leads):
-            tail = dict(g)
-            tail.pop(lt)
-            tails.append(list(tail.items()))
+        by_gen = _leads_at(M)
         basis, _ = graded_piece(M, D)
         index = {t: i for i, t in enumerate(basis)}
         table = {}
@@ -382,18 +389,21 @@ def _nf_table(M, D):
                 table[t] = (pack((i,)), pack((field.one,)))
                 continue
             gi, e = t
-            k = next(k for k, (lgi, lu) in enumerate(leads)
-                     if lgi == gi and mono_divides(lu, e))
-            q = mono_div(e, leads[k][1])
+            lu, tail = next(lt for lt in by_gen[gi] if mono_divides(lt[0], e))
+            q = mono_div(e, lu)
             acc = {}
-            for (gj, u), c in tails[k]:
+            for (gj, u), c in tail:
                 idx, co = table[(gj, mono_mul(u, q))]
                 for r, v in zip(idx, co):
                     acc[r] = acc.get(r, 0) - c * v
-            if p:
-                acc = {r: v % p for r, v in acc.items()}
-            row = [(r, v) for r, v in acc.items() if v]
-            table[t] = (pack([r for r, _ in row]), pack([v for _, v in row]))
+            rows, coeffs = [], []
+            for r, v in acc.items():
+                if p:
+                    v %= p
+                if v:
+                    rows.append(r)
+                    coeffs.append(v)
+            table[t] = (pack(rows), pack(coeffs))
         M._cache[key] = table
     return M._cache[key]
 
@@ -428,9 +438,10 @@ def block_matrix(M, blocks, row_gens, col_gens, d):
     Block column c is M at d + col_gens[c] and block row r is M at
     d + row_gens[r], both over standard bases.  Each (r, c, mono, coeff)
     in blocks adds coeff times multiplication by x^mono to block (r, c),
-    one multiplication_matrix call per block.  Returns (entries, nrows,
-    ncols) with entries as (row, col, coeff) triples; a coeff is the
-    native product of two field elements, left unreduced for
+    with one multiplication_matrix call per distinct (mono, source
+    bidegree), whose entries every block with that key reuses.  Returns
+    (entries, nrows, ncols) with entries as (row, col, coeff) triples; a
+    coeff is the native product of two field elements, left unreduced for
     linalg.rank_entries.
     """
     def offsets(gens):
@@ -440,11 +451,16 @@ def block_matrix(M, blocks, row_gens, col_gens, d):
 
     rowoff, coloff = offsets(row_gens), offsets(col_gens)
     entries = []
+    mults = {}
     for r, c, mono, coeff in blocks:
         a, b = col_gens[c]
-        ents, _tgt, _src = multiplication_matrix(M, mono, (d[0] + a, d[1] + b))
+        key = (mono, a, b)
+        ents = mults.get(key)
+        if ents is None:
+            ents = mults[key] = multiplication_matrix(
+                M, mono, (d[0] + a, d[1] + b))[0]
         ro, co = rowoff[r], coloff[c]
-        entries.extend((ro + i, co + j, coeff * v) for i, j, v in ents)
+        entries += [(ro + i, co + j, coeff * v) for i, j, v in ents]
     return entries, rowoff[-1], coloff[-1]
 
 # --------------------------------------------------------------- saturation

@@ -6,7 +6,7 @@ is degree-reverse-lex on total degree with x0 > x1 > ... > xm > y0 > ... > yn.
 """
 
 import math
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .errors import EmptyRing, InvalidSpace, NotBihomogeneous, ZeroPolynomial
 from .fields import field_from_spec
@@ -33,7 +33,7 @@ def mono_lcm(a, b):
 def mono_key(e):
     # grevlex: higher total degree wins; ties broken by the last variable
     # in which the exponents differ, smaller exponent there being larger.
-    return (sum(e), tuple(-c for c in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 def _compositions(total, parts):
@@ -50,12 +50,20 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+MAX_BLOCK = 32  # the largest m or n of a ring: P^32 x P^32
+
+
 class Ring:
-    """Context object: variable counts, coefficient field, monomial helpers."""
+    """Context object: variable counts, coefficient field, monomial helpers.
+
+    m and n lie in -1..MAX_BLOCK, so a ring has at most 66 variables."""
 
     def __init__(self, m, n, field, allow_trivial=False):
         if m < -1 or n < -1:
             raise InvalidSpace("m and n must be integers >= -1")
+        if m > MAX_BLOCK or n > MAX_BLOCK:
+            raise InvalidSpace("m and n must be at most %d, got m=%d, n=%d"
+                               % (MAX_BLOCK, m, n))
         if m == -1 and n == -1 and not allow_trivial:
             raise EmptyRing("both variable blocks empty; pass allow_trivial=True "
                             "to build the constants-only ring")
@@ -127,15 +135,19 @@ class Ring:
         return xs * ys
 
     def monomials(self, d):
-        """Exponent tuples of bidegree d, sorted decreasing in the term order."""
+        """Exponent tuples of bidegree d, sorted decreasing in the term order.
+
+        Enumerated and sorted once per bidegree; each call returns a new
+        list, which the caller may mutate."""
         a, b = d
-        if (self.nx == 0 and a != 0) or (self.ny == 0 and b != 0) or a < 0 or b < 0:
-            return []
-        out = [xe + ye
-               for xe in _compositions(a, self.nx)
-               for ye in _compositions(b, self.ny)]
-        out.sort(key=mono_key, reverse=True)
-        return out
+        key = ("monomials", a, b)
+        if key not in self._cache:
+            # an empty block has only the exponent () of degree 0
+            self._cache[key] = () if a < 0 or b < 0 else tuple(sorted(
+                (xe + ye for xe in _compositions(a, self.nx)
+                 for ye in _compositions(b, self.ny)),
+                key=mono_key, reverse=True))
+        return list(self._cache[key])
 
 
 def make_ring(m, n, field=32003, allow_trivial=False):

@@ -4,14 +4,17 @@ Everything here recomputes mathematical facts from first principles --
 explicit Cech cochain complexes, dense row reduction, direct monomial
 spans -- sharing no linear algebra or Groebner machinery with the
 package, so package outputs can be checked against a second
-implementation.  Two exceptions are kept as references for faster
+implementation.  Three exceptions are kept as references for faster
 kernels: unskipped_local_cohomology_dim, the transition chase without
-the stable-power skip, and max_scan_reduce, the division that rescans
-for the largest term on every step instead of keeping a heap.
+the stable-power skip; max_scan_reduce, the division that rescans for
+the largest term on every step instead of keeping a heap; and
+min_scan_rank, the sparse rank that scans each row for its lowest column
+on every step instead of keeping a heap.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from bigraded.errors import NoStabilization
@@ -291,3 +294,35 @@ def max_scan_reduce(field, f, elements, leads, exprs=None, expr=None,
         if expr is not None:
             expr = _vec_sub_shifted(field, expr, exprs[hit], q, c)
     return rem, expr
+
+
+# ------------------------------------------------- the min-scan rank kernel
+
+
+def min_scan_rank(entries, nrows, ncols, field):
+    """linalg.rank_entries as it was before the heap: each step scans the
+    row for its lowest column label, and pivot rows keep the entries that
+    are zero in the field."""
+    of = field.of
+    count = Counter(j for _i, j, _c in entries)
+    label = {j: k for k, j in enumerate(sorted(count, key=count.get))}
+    rows = {}
+    for i, j, c in entries:
+        row = rows.setdefault(i, {})
+        j = label[j]
+        row[j] = row.get(j, 0) + c
+    pivots = {}
+    for row in sorted(rows.values(), key=len):
+        while row:
+            j = min(row)
+            f = of(row.pop(j))
+            if f == 0:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                inv = field.inv(f)
+                pivots[j] = {k: of(c * inv) for k, c in row.items()}
+                break
+            for k, c in piv.items():
+                row[k] = row.get(k, 0) - f * c
+    return len(pivots)

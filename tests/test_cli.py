@@ -1,12 +1,18 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bigraded.cli import _merge_negative_values, main, parse_input
 from bigraded.errors import BigradedError, InputError, NotBihomogeneous
 from bigraded.regularity import module_betti
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 M_DOC = "ring field=32003 m=1 n=1\nideal: x0*y0; x0*y1; x1*y0; x1*y1\n"
 R_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0)\n"
@@ -326,6 +332,11 @@ def test_bad_window_is_input_error(doc, capsys):
 
 
 ZERO_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0) rels: e1\n"
+# 2^64 - 59 is prime; 2^63 - 25 is the largest prime below 2^63
+BIG_FIELD_DOC = ("ring field=%d m=1 n=1\nideal: x0*y0+3*x1*y1; x0*y1\n"
+                 % (2 ** 64 - 59))
+BIG_FIELD = "modulus must be an odd prime below 2^63, got %d" % (2 ** 64 - 59)
+LC_CORNER = ["--ideal", "irr", "--i", "2", "--window", "-2:-2,0:0"]
 SHEAF = ["sheaf", "--a", "0", "--b", "0", "--window", "0:1,0:1"]
 LC_CELL = ["lc", R_DOC, "--ideal", "irr", "--i", "2", "--window", "0:0,0:0"]
 
@@ -342,8 +353,13 @@ LC_CELL = ["lc", R_DOC, "--ideal", "irr", "--i", "2", "--window", "0:0,0:0"]
     (["reg-weak", M_DOC, "--p", "1", "--pp", "1", "--nu-max", "0"],
      "nu_max must be at least 1, got 0"),
     (["verify", M_DOC, "--nu-max", "0"], "nu_max must be at least 1, got 0"),
+    (["lc", BIG_FIELD_DOC] + LC_CORNER, BIG_FIELD),
+    (["verify", BIG_FIELD_DOC], BIG_FIELD),
+    (["betti", "ring field=32003 m=33 n=1\nideal: y0\n"],
+     "m and n must be at most 32, got m=33, n=1"),
 ], ids=["frontier-zero", "verify-zero", "ring-m", "sheaf-m", "sheaf-n",
-        "lc-nu-zero", "lc-nu-negative", "reg-weak-nu-zero", "verify-nu-zero"])
+        "lc-nu-zero", "lc-nu-negative", "reg-weak-nu-zero", "verify-nu-zero",
+        "lc-big-field", "verify-big-field", "ring-m-above-limit"])
 def test_bad_inputs_exit_three_with_message(doc, capsys, argv, message):
     argv = [doc(a) if a.startswith("ring") else a for a in argv]
     assert main(argv) == 3
@@ -362,3 +378,27 @@ def test_unknown_subcommand_exits_three(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 3
+
+
+def test_largest_field_below_two_to_the_63_runs_lc(doc, capsys):
+    big = BIG_FIELD_DOC.replace(str(2 ** 64 - 59), str(2 ** 63 - 25))
+    small = BIG_FIELD_DOC.replace(str(2 ** 64 - 59), "32003")
+    outs = [run(capsys, ["lc", doc(text), "--json"] + LC_CORNER)
+            for text in (big, small)]
+    assert [rc for rc, _out in outs] == [0, 0]
+    grids = [json.loads(out)["grid"] for _rc, out in outs]
+    assert grids[0] == grids[1] and grids[0]["dims"] == [[3]]
+
+
+def test_huge_ring_is_refused_at_once(doc):
+    # the ring is checked before anything is built for its variables: a
+    # child process must exit 3 well within a second
+    path = doc("ring field=32003 m=100000000 n=1\nideal: x0*y0; x1*y1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-m", "bigraded.cli", "betti", path],
+                         env=env, capture_output=True, text=True, timeout=1)
+    assert out.returncode == 3
+    assert out.stderr == ("error: m and n must be at most 32, "
+                          "got m=100000000, n=1\n")

@@ -54,3 +54,16 @@ def test_small_prime_field():
     F = PrimeField(3)
     assert F.add(F.one, F.of(2)) == F.zero
     assert F.inv(F.of(2)) == F.of(2)
+
+
+def test_modulus_at_or_above_two_to_the_63_rejected():
+    # normal-form rows store residues as signed 64-bit ints; 2^64 - 59 is
+    # prime, and 2^63 - 25 is the largest prime below 2^63
+    for spec in (2 ** 64 - 59, str(2 ** 64 - 59)):
+        with pytest.raises(InvalidField, match="below 2\\^63"):
+            field_from_spec(spec)
+    with pytest.raises(InvalidField):
+        PrimeField(2 ** 63 + 1)
+    F = PrimeField(2 ** 63 - 25)
+    a = F.of(-3)
+    assert F.mul(a, F.inv(a)) == F.one

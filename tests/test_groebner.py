@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bigraded.groebner import (_nf_table, _reduce, buchberger, graded_piece,
+from bigraded import groebner
+from bigraded.groebner import (_nf_table, _reduce, block_matrix, buchberger,
+                               graded_piece,
                                ideal_presentation, module_standard_pairs,
                                multiplication_matrix, normal_form,
                                presentation_gb, saturate, standard_pairs,
@@ -444,6 +446,51 @@ def test_multiplication_matrix_matches_normal_forms_rationals(P11q):
     M = ideal_presentation(P11q, polys)
     _check_against_normal_form(
         M, [(a, b) for a in range(0, 4) for b in range(0, 4)])
+
+
+def test_block_matrix_reuses_repeated_blocks(P11, monkeypatch):
+    # block columns 0 and 2 share a bidegree, so every multiplier out of them
+    # repeats a (mono, source bidegree) key; the first three blocks also
+    # recur verbatim, and a repeated block adds up
+    M = seeded_minors(P11)
+    ring = M.ring
+    d = (2, 2)
+    col_gens = [(0, 0), (1, 0), (0, 0), (0, 1)]
+    row_gens = [(1, 1), (2, 1), (1, 1)]
+    blocks = []
+    for r, (ra, rb) in enumerate(row_gens):
+        for c, (ca, cb) in enumerate(col_gens):
+            if ra >= ca and rb >= cb:
+                for k, mono in enumerate(ring.monomials((ra - ca, rb - cb))):
+                    blocks.append((r, c, mono, 1 + r + 3 * c + 5 * k))
+    blocks += blocks[:3]
+
+    calls = []
+    real = groebner.multiplication_matrix
+
+    def counted(M, mono, d):
+        calls.append((mono, d))
+        return real(M, mono, d)
+
+    monkeypatch.setattr(groebner, "multiplication_matrix", counted)
+    entries, nrows, ncols = block_matrix(M, blocks, row_gens, col_gens, d)
+    assert len(calls) == len(set(calls)) == len(
+        {(mono, col_gens[c]) for _r, c, mono, _co in blocks}) < len(blocks)
+
+    def offsets(gens):
+        out = [0]
+        for a, b in gens:
+            out.append(out[-1] + graded_piece(M, (d[0] + a, d[1] + b))[1])
+        return out
+
+    rowoff, coloff = offsets(row_gens), offsets(col_gens)
+    want = []
+    for r, c, mono, coeff in blocks:
+        a, b = col_gens[c]
+        ents = real(M, mono, (d[0] + a, d[1] + b))[0]
+        want += [(rowoff[r] + i, coloff[c] + j, coeff * v) for i, j, v in ents]
+    assert want and entries == want
+    assert (nrows, ncols) == (rowoff[-1], coloff[-1])
 
 
 def test_span_oracle_cross_check(P11):

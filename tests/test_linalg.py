@@ -9,6 +9,7 @@ import pytest
 
 from bigraded.fields import QQ, PrimeField
 from bigraded.linalg import rank_entries
+from helpers import min_scan_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -304,3 +305,42 @@ def test_rationals_accept_int_representatives():
                    for j in range(ncols) if rng.random() < 0.5]
         check(entries, nrows, ncols, QQ)
         check([(i, j, Fraction(c)) for i, j, c in entries], nrows, ncols, QQ)
+
+
+# The heap-ordered pivot search against the min-scan kernel it replaced.
+# A product of two sparse factors, one triple per summand, gives low rank,
+# fill-in and repeated (row, col) pairs; on top go stored zeros, entries
+# that are nonzero multiples of p, and rows and columns left empty.
+
+
+def _low_rank_entries(rng, field, nrows, ncols):
+    k = rng.randint(1, max(1, min(nrows, ncols)))
+    rows = rng.sample(range(nrows), rng.randint(0, nrows))
+    cols = rng.sample(range(ncols), rng.randint(0, ncols))
+    left = [[_coeff(rng, field) if rng.random() < 0.4 else 0
+             for _ in range(k)] for _ in rows]
+    right = [[_coeff(rng, field) if rng.random() < 0.4 else 0
+              for _ in cols] for _ in range(k)]
+    entries = [(i, j, a[t] * right[t][jj])
+               for a, i in zip(left, rows) for jj, j in enumerate(cols)
+               for t in range(k) if a[t] and right[t][jj]]
+    for _ in range(rng.randint(0, 4)):
+        if rows and cols:
+            i, j = rng.choice(rows), rng.choice(cols)
+            entries.append((i, j, field.zero))
+            entries.append((i, j, field.char * rng.randint(1, 5)))
+    rng.shuffle(entries)
+    return entries
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_heap_rank_matches_min_scan_oracle(field):
+    rng = random.Random(41 + field.char)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 25)
+        entries = _low_rank_entries(rng, field, nrows, ncols)
+        entries += random_entries(rng, field, nrows, ncols,
+                                  rng.choice([0.0, 0.02, 0.08]))
+        want = min_scan_rank(entries, nrows, ncols, field)
+        assert rank_entries(entries, nrows, ncols, field) == want
+    assert rank_entries([], 3, 4, field) == min_scan_rank([], 3, 4, field) == 0

@@ -5,7 +5,8 @@ import pytest
 
 from bigraded.errors import (BigradedError, EmptyRing, InvalidSpace,
                              NotBihomogeneous, ZeroPolynomial)
-from bigraded.ring import Poly, bidegree_of, make_ring, mono_key, mono_mul
+from bigraded.ring import (MAX_BLOCK, Poly, bidegree_of, make_ring, mono_key,
+                           mono_mul)
 from helpers import random_sparse_poly
 
 
@@ -31,6 +32,31 @@ def test_block_dimension_below_minus_one(m, n):
         make_ring(m, n)
     assert isinstance(err.value, BigradedError)
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("m,n", [(MAX_BLOCK + 1, 1), (1, MAX_BLOCK + 1),
+                                 (10 ** 8, 1)])
+def test_block_dimension_above_the_limit(m, n):
+    with pytest.raises(InvalidSpace, match="at most %d" % MAX_BLOCK):
+        make_ring(m, n)
+
+
+def test_largest_ring():
+    R = make_ring(MAX_BLOCK, MAX_BLOCK)
+    assert R.nvars == 2 * MAX_BLOCK + 2
+    assert len(R.monomials((1, 1))) == (MAX_BLOCK + 1) ** 2
+
+
+def test_monomials_returns_a_list_the_caller_may_mutate():
+    R = make_ring(1, 1)
+    for d in ((2, 1), (0, 0), (-1, 2)):
+        want = R.monomials(d)
+        got = R.monomials(d)
+        assert got is not want
+        got.reverse()
+        got.append((9, 9, 9, 9))
+        del got[0]
+        assert R.monomials(d) == want
 
 
 def test_degenerate_blocks():
