@@ -13,9 +13,8 @@ from .errors import (BigradedError, EmptyRing, InputError, InvalidField,
 from .fields import QQ, PrimeField, field_from_spec
 from .groebner import (GroebnerBasis, buchberger, graded_piece,
                        ideal_presentation, ideal_quotient,
-                       module_standard_pairs, multiplication_matrix,
-                       normal_form, presentation_dim, saturate,
-                       standard_pairs, syzygies, upset_nonvanishing_witness,
+                       multiplication_matrix, normal_form, saturate,
+                       syzygies, upset_nonvanishing_witness,
                        vanishes_on_upset)
 from .localcoh import (IRRELEVANT, X, XY_SUM, Y, ext_graded_dim, free_lc_dim,
                        h0_via_saturation, lc_table, local_cohomology_dim)
@@ -48,8 +47,7 @@ __all__ = [
     "ZeroPolynomial",
     "QQ", "PrimeField", "field_from_spec",
     "GroebnerBasis", "buchberger", "graded_piece", "ideal_presentation",
-    "ideal_quotient", "module_standard_pairs", "multiplication_matrix",
-    "normal_form", "presentation_dim", "saturate", "standard_pairs",
+    "ideal_quotient", "multiplication_matrix", "normal_form", "saturate",
     "syzygies", "upset_nonvanishing_witness", "vanishes_on_upset",
     "IRRELEVANT", "X", "XY_SUM", "Y", "ext_graded_dim", "free_lc_dim",
     "h0_via_saturation", "lc_table", "local_cohomology_dim",

@@ -288,6 +288,11 @@ def parse_input(text):
 # ------------------------------------------------------------- rendering
 
 
+# The most bidegrees a --window may hold, so that one command line stays
+# bounded: every subcommand with a window does work in each of its cells.
+MAX_WINDOW_CELLS = 100_000
+
+
 def _parse_window(text):
     try:
         ks, ls = text.split(",")
@@ -297,6 +302,9 @@ def _parse_window(text):
         raise InputError("window must look like k0:k1,l0:l1")
     if k0 > k1 or l0 > l1:
         raise InputError("window bounds must be nondecreasing")
+    if (k1 - k0 + 1) * (l1 - l0 + 1) > MAX_WINDOW_CELLS:
+        raise InputError("window holds more than %d bidegrees"
+                         % MAX_WINDOW_CELLS)
     return k0, k1, l0, l1
 
 

@@ -7,13 +7,15 @@ index.  Everything here is deterministic: S-pairs are processed in
 (lcm degree, lcm, i, j) heap order, and bases come back inter-reduced,
 monic, and sorted by decreasing lead term.  Buchberger and the Schreyer
 syzygy loop share one pair generator, one chain criterion and one traced
-reduction.
+reduction.  Vanishing on an up-set is decided at the region's corners:
+standard monomials are closed under division, so a module nonzero in an
+up-set is nonzero at one of its minimal points, tested at a clamp read
+off the leads (upset_nonvanishing_witness).
 """
 
 import heapq
 import itertools
 from array import array
-from collections import namedtuple
 from functools import partial
 
 from .modules import (FreeModule, ModuleMap, Presentation, term_key,
@@ -194,7 +196,7 @@ class GroebnerBasis:
     """Elements are stored monic, without zero coefficients, and their
     lead terms are computed once: normal_form divides by monic leads."""
 
-    def __init__(self, ring, module, elements, reduced=True):
+    def __init__(self, ring, module, elements):
         self.ring = ring
         self.module = module
         self.elements = []
@@ -205,7 +207,6 @@ class GroebnerBasis:
                 g = vec_scale(ring.field, ring.field.inv(g[lt]), g)
             self.elements.append(g)
             self.leads.append(lt)
-        self.reduced = reduced
 
     def __repr__(self):
         return "GroebnerBasis(%d elements)" % len(self.elements)
@@ -357,10 +358,6 @@ def graded_piece(M, d):
         M._cache[key] = basis
     basis = M._cache[key]
     return basis, len(basis)
-
-
-def presentation_dim(M, d):
-    return graded_piece(M, d)[1]
 
 
 def _nf_table(M, D):
@@ -550,109 +547,45 @@ def saturate(M, ideal_gens):
     pres._cache["inclusion"] = kept
     return pres
 
-# ------------------------------------------------------------ standard pairs
-
-StandardPair = namedtuple("StandardPair", ["gen", "mono", "free"])
-
-
-def standard_pairs(ring, rank, leads):
-    """Cone cover of the standard monomials of a monomial submodule.
-
-    Each pair (gen, mono, free) marks the cone mono * (free variables)^N
-    over that generator; every monomial outside the lead-term submodule
-    lies in at least one cone and every cone avoids the submodule.
-    """
-    nv = ring.nvars
-    out = []
-    for gi in range(rank):
-        gens_gi = [e for g, e in leads if g == gi]
-        cands = []
-        for mask in range(1 << nv):
-            F = frozenset(v for v in range(nv) if mask >> v & 1)
-            proj = []
-            unit = False
-            for e in gens_gi:
-                pe = tuple(0 if v in F else e[v] for v in range(nv))
-                if not any(pe):
-                    unit = True
-                    break
-                proj.append(pe)
-            if unit:
-                continue
-            proj.sort(key=lambda q: (sum(q), q))
-            jmin = []
-            for pe in proj:
-                if not any(all(q[v] <= pe[v] for v in range(nv)) for q in jmin):
-                    jmin.append(pe)
-            # apex exponents are bounded by the largest exponent a
-            # generator shows in each non-free direction
-            ranges = []
-            for v in range(nv):
-                if v in F:
-                    ranges.append(range(1))
-                else:
-                    ranges.append(range(max((q[v] for q in jmin), default=0)
-                                        or 1))
-            for u in itertools.product(*ranges):
-                if any(all(q[v] <= u[v] for v in range(nv)) for q in jmin):
-                    continue
-                cands.append((u, F))
-        for u, F in cands:
-            contained = any(
-                (u2, F2) != (u, F) and F <= F2 and
-                all(u[v] == u2[v] for v in range(nv) if v not in F2)
-                for u2, F2 in cands)
-            if not contained:
-                out.append(StandardPair(gi, u, F))
-    return out
-
-
-def module_standard_pairs(M):
-    if "std_pairs" not in M._cache:
-        gb = presentation_gb(M)
-        M._cache["std_pairs"] = standard_pairs(M.ring, M.f0.rank, gb.leads)
-    return M._cache["std_pairs"]
-
 # ---------------------------------------------------- vanishing on up-sets
 
 
-def _upset_cone_point(a0, b0, fx, fy, A, B, C):
-    """A point of the cone shadow inside {k>=A, k'>=B, k+k'>=C}, or None."""
-    if fx and fy:
-        k = max(a0, A)
-        kp = max(b0, B) if C is None else max(b0, B, C - k)
-        return (k, kp)
-    if fx:
-        if b0 < B:
-            return None
-        k = max(a0, A) if C is None else max(a0, A, C - b0)
-        return (k, b0)
-    if fy:
-        if a0 < A:
-            return None
-        kp = max(b0, B) if C is None else max(b0, B, C - a0)
-        return (a0, kp)
-    if a0 >= A and b0 >= B and (C is None or a0 + b0 >= C):
-        return (a0, b0)
-    return None
-
-
 def upset_nonvanishing_witness(M, region):
-    """A bidegree in the up-set where M is nonzero, or None if M vanishes
-    on the whole region.  Exact: the cones of the standard-pair cover have
-    bidegree shadows apex + N(1,0) + N(0,1) (per available free block),
-    and a nonzero graded piece is exactly a cone point in the region."""
+    """A bidegree in the up-set U = {k >= A, k' >= B, k+k' >= C} where M
+    is nonzero, or None if M vanishes on all of U.
+
+    Exact, generator by generator.  The standard monomials at generator
+    g are closed under division, so if M is nonzero at g anywhere in U,
+    it is nonzero at a minimal point of U inside g + N^2: the corner
+    (max(A, g_x), max(B, g_y)) when C does not bind, else a point
+    (a, C - a) from that corner's a on.  With L_v the largest exponent
+    of variable v among the leads at g, a standard monomial of x-degree
+    at least e_x - g_x, e_x = g_x + 1 + sum over x-variables of
+    max(L_v - 1, 0), has an x_v with exponent at least L_v and stays
+    standard times x_v: past e_x the x-degree extends without bound, and
+    likewise past e_y.  So each point is tested at its clamp
+    (min(a, e_x), min(b, e_y)), each distinct clamp once.  The witness
+    is the first such point found, generators in order and a ascending.
+    """
     A, B, C = upset_bounds(region)
-    ring = M.ring
-    nx = ring.nx
-    for sp in module_standard_pairs(M):
-        ga, gb = M.f0.gens[sp.gen]
-        ua, ub = ring.mono_bidegree(sp.mono)
-        fx = any(v < nx for v in sp.free)
-        fy = any(v >= nx for v in sp.free)
-        pt = _upset_cone_point(ga + ua, gb + ub, fx, fy, A, B, C)
-        if pt is not None:
-            return pt
+    nv, nx = M.ring.nvars, M.ring.nx
+    by_gen = _leads_at(M)
+    for g, (gx, gy) in enumerate(M.f0.gens):
+        spare = [max([0] + [lu[v] - 1 for lu, _tail in by_gen.get(g, ())])
+                 for v in range(nv)]
+        ex, ey = gx + 1 + sum(spare[:nx]), gy + 1 + sum(spare[nx:])
+        a0, b0 = max(A, gx), max(B, gy)
+        c = a0 + b0 if C is None else max(C, a0 + b0)
+        # every clamp is met at a0, at a in a0..e_x, or where b <= e_y
+        cands = {a0, *range(a0, min(ex, c - b0) + 1),
+                 *(c - b for b in range(b0, min(ey, c - a0) + 1))}
+        seen = set()
+        for a in sorted(cands):
+            pt = (min(a, ex), min(c - a, ey))
+            if pt not in seen:
+                seen.add(pt)
+                if any(gi == g for gi, _e in graded_piece(M, pt)[0]):
+                    return (a, c - a)
     return None
 
 

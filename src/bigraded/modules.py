@@ -161,26 +161,6 @@ class ModuleMap:
                     raise NotBihomogeneous("negative entry degree")
         return self
 
-    def piece_matrix(self, d):
-        """Matrix of the map on graded pieces at bidegree d.
-
-        Returns (entries, row basis, col basis) where entries are
-        (row, col, coeff) triples over the free-module monomial bases.
-        """
-        rows = self.target.piece_basis(self.ring, d)
-        cols = []
-        a, b = d
-        for j, (ga, gb) in enumerate(self.source.gens):
-            cols.extend((j, e) for e in self.ring.monomials((a - ga, b - gb)))
-        rindex = {t: i for i, t in enumerate(rows)}
-        entries = []
-        field = self.ring.field
-        for ci, (j, e) in enumerate(cols):
-            img = vec_mono_shift(field, self.cols[j], e, field.one)
-            for t, c in img.items():
-                entries.append((rindex[t], ci, c))
-        return entries, rows, cols
-
 # ------------------------------------------------------------ presentations
 
 

@@ -15,8 +15,8 @@ import weakref
 
 from .errors import ResolutionTooLong
 from .linalg import rank_entries
-from .modules import FreeModule, ModuleMap, vec_sub_shift
-from .groebner import column_syzygies, presentation_gb
+from .modules import FreeModule, ModuleMap, free_presentation, vec_sub_shift
+from .groebner import block_matrix, column_syzygies, presentation_gb
 
 # ---------------------------------------------------------------- complexes
 
@@ -86,8 +86,18 @@ def betti_table(C):
 
 
 def map_rank_at(phi, d):
-    entries, rows, cols = phi.piece_matrix(d)
-    return rank_entries(entries, len(rows), len(cols), phi.ring.field)
+    """Rank of phi at bidegree d: block_matrix over the free module R,
+    source generator c at R_{d - g_c} and target generator r at
+    R_{d - g_r}, entry (r, x^e) of column c multiplying by x^e."""
+    ring = phi.ring
+    if "free" not in ring._cache:
+        ring._cache["free"] = free_presentation(ring, [(0, 0)])
+    blocks = [(r, c, e, v) for c, col in enumerate(phi.cols)
+              for (r, e), v in col.items()]
+    entries, nrows, ncols = block_matrix(
+        ring._cache["free"], blocks, [(-a, -b) for a, b in phi.target.gens],
+        [(-a, -b) for a, b in phi.source.gens], d)
+    return rank_entries(entries, nrows, ncols, ring.field)
 
 
 def homology_dims(C, d):

@@ -219,15 +219,6 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {e: f.mul(c, v) for e, v in self.terms.items()})
 
-    def mono_shift(self, mono, coeff=None):
-        """self * coeff * x^mono."""
-        f = self.ring.field
-        c = f.one if coeff is None else coeff
-        if c == 0:
-            return Poly(self.ring, {})
-        return Poly(self.ring, {mono_mul(e, mono): f.mul(c, v)
-                                for e, v in self.terms.items()})
-
     def bidegree(self):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no bidegree")

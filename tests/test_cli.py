@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bigraded.cli import _merge_negative_values, main, parse_input
+from bigraded.cli import (MAX_WINDOW_CELLS, _merge_negative_values,
+                          _parse_window, main, parse_input)
 from bigraded.errors import BigradedError, InputError, NotBihomogeneous
 from bigraded.regularity import module_betti
 
@@ -390,15 +391,46 @@ def test_largest_field_below_two_to_the_63_runs_lc(doc, capsys):
     assert grids[0] == grids[1] and grids[0]["dims"] == [[3]]
 
 
+def run_child(argv):
+    """python -m bigraded.cli argv in a child process that must end
+    within a second."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "bigraded.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=1)
+
+
 def test_huge_ring_is_refused_at_once(doc):
     # the ring is checked before anything is built for its variables: a
     # child process must exit 3 well within a second
     path = doc("ring field=32003 m=100000000 n=1\nideal: x0*y0; x1*y1\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-m", "bigraded.cli", "betti", path],
-                         env=env, capture_output=True, text=True, timeout=1)
+    out = run_child(["betti", path])
     assert out.returncode == 3
     assert out.stderr == ("error: m and n must be at most 32, "
                           "got m=100000000, n=1\n")
+
+
+HUGE_WINDOW = ["--window", "0:100000000,0:0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sheaf", "--m", "1", "--n", "1", "--a", "0", "--b", "0"] + HUGE_WINDOW,
+    ["region", "--kind", "Reg", "--i", "0"] + HUGE_WINDOW,
+], ids=["sheaf", "region"])
+def test_huge_window_is_refused_at_once(argv):
+    # the window is sized before any cell is computed or drawn
+    out = run_child(argv)
+    assert out.returncode == 3
+    assert out.stderr == ("error: window holds more than %d bidegrees\n"
+                          % MAX_WINDOW_CELLS)
+
+
+def test_window_limit_counts_cells(doc):
+    assert _parse_window("0:%d,5:5" % (MAX_WINDOW_CELLS - 1)) == \
+        (0, MAX_WINDOW_CELLS - 1, 5, 5)
+    for text in ("0:%d,5:5" % MAX_WINDOW_CELLS, "-200:200,-200:200"):
+        with pytest.raises(InputError):
+            _parse_window(text)
+    assert main(["lc", doc(R_DOC), "--ideal", "irr", "--i", "2",
+                 "--window", "0:1000,0:1000"]) == 3

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,17 +10,17 @@ import pytest
 
 from bigraded import groebner
 from bigraded.groebner import (_nf_table, _reduce, block_matrix, buchberger,
-                               graded_piece,
-                               ideal_presentation, module_standard_pairs,
+                               graded_piece, ideal_presentation,
                                multiplication_matrix, normal_form,
-                               presentation_gb, saturate, standard_pairs,
-                               syzygies, upset_nonvanishing_witness,
-                               vanishes_on_upset)
-from bigraded.modules import (FreeModule, free_presentation,
-                              quotient_presentation, term_key, vec_add,
-                              vec_bidegree, vec_from_poly, vec_mono_shift,
-                              vec_sub_shift)
-from bigraded.regions import reg, reg_prime, region_contains
+                               presentation_gb, saturate, syzygies,
+                               upset_nonvanishing_witness, vanishes_on_upset)
+from bigraded.localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation
+from bigraded.modules import (FreeModule, ModuleMap, Presentation,
+                              free_presentation, quotient_presentation,
+                              term_key, vec_add, vec_bidegree, vec_from_poly,
+                              vec_mono_shift, vec_sub_shift)
+from bigraded.regions import (reg, reg_double_prime, reg_prime,
+                              region_contains)
 from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
 from helpers import max_scan_reduce, span_piece_dim
@@ -318,40 +319,6 @@ def test_saturation_examples(P11):
         assert graded_piece(T2, d)[1] == graded_piece(T, d)[1]
 
 
-def test_standard_pairs_examples():
-    R = make_ring(0, 0)
-    ps = standard_pairs(R, 1, [(0, (2, 0))])
-    assert {(p.mono, frozenset(p.free)) for p in ps} == \
-        {((0, 0), frozenset({1})), ((1, 0), frozenset({1}))}
-    ps2 = standard_pairs(R, 1, [(0, (1, 1))])
-    assert {(p.mono, frozenset(p.free)) for p in ps2} == \
-        {((0, 0), frozenset({0})), ((0, 0), frozenset({1}))}
-    ps3 = standard_pairs(R, 1, [])
-    assert len(ps3) == 1 and ps3[0].free == frozenset({0, 1})
-
-
-def test_standard_pairs_cover_window(P11):
-    # cones cover exactly the standard monomials on a window
-    Q = quotient_presentation(P11, [P11.var(0) * P11.var(2)])
-    pairs = module_standard_pairs(Q)
-    gb = presentation_gb(Q)
-    for a in range(0, 7):
-        for b in range(0, 7):
-            basis, dim = graded_piece(Q, (a, b))
-            covered = set()
-            for pr in pairs:
-                base = pr.mono
-                free = pr.free
-                for gi, e in basis:
-                    if gi != pr.gen:
-                        continue
-                    diff = tuple(u - v for u, v in zip(e, base))
-                    if all(d == 0 or (d > 0 and i in free)
-                           for i, d in enumerate(diff)):
-                        covered.add((gi, e))
-            assert len(covered) == dim
-
-
 def test_vanishes_on_upset_examples(P11):
     mg = irrelevant_gens(P11)
     Q = quotient_presentation(P11, mg)
@@ -378,6 +345,84 @@ def test_upset_witness_is_real(P11):
     assert graded_piece(R, w)[1] > 0
     Q = quotient_presentation(P11, irrelevant_gens(P11))
     assert upset_nonvanishing_witness(Q, reg(-1, 0, 0)) is None
+
+
+def _upset_regions():
+    """Reg_i for i = -1..4 (C binds from i = 1 at most base points) and
+    both edge quadrants, over base points (p, p') in -2..3."""
+    out = []
+    for p in range(-2, 4):
+        for pp in range(-2, 4):
+            out += [reg(i, p, pp) for i in range(-1, 5)]
+            out += [reg_prime(p, pp), reg_double_prime(p, pp)]
+    return out
+
+
+def _random_monomial_quotient(ring, rng):
+    polys = [ring.monomial(tuple(rng.randint(0, 3) for _ in range(ring.nvars)))
+             for _ in range(rng.randint(1, 4))]
+    Q = quotient_presentation(ring, [f for f in polys if f.bidegree() != (0, 0)])
+    return Q.twist(rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+def test_upset_witness_agrees_with_brute_force(corpus, P11):
+    # the window reaches past every corner and clamp these modules and
+    # regions produce, and every witness must be a live bidegree in it
+    rng = random.Random(1501)
+    rings = [P11, make_ring(0, 1), make_ring(-1, 1), make_ring(1, -1)]
+    mods = [corpus[name] for name in ("R(-2,1)", "m[P1xP2]", "R/m",
+                                      "x0^2(y0,y1)^3", "minors2x3")]
+    mods += [_random_monomial_quotient(ring, rng)
+             for ring in rings for _ in range(3)]
+    # three generators, one of them killed by y0^2 and entangled with x0
+    x0, x1, y0, y1 = (P11.var(v) for v in range(4))
+    F = FreeModule([(0, 0), (1, 0), (0, 1)])
+    rels = [vec_add(P11.field, vec(x0 * y0), vec(-y0, 1)), vec(x1 * x1, 1),
+            vec_add(P11.field, vec(x0, 2), vec(-y1, 1)), vec(y0 * y0, 2)]
+    mods.append(Presentation(P11, F, ModuleMap(
+        P11, FreeModule([vec_bidegree(P11, F.gens, r) for r in rels]), F,
+        rels)))
+    window = [(k, kp) for k in range(-6, 14) for kp in range(-6, 14)]
+    queries = 0
+    for M in mods:
+        for T in [M] + [h0_via_saturation(M, kind)
+                        for kind in (IRRELEVANT, X, Y, XY_SUM)]:
+            live = [d for d in window if graded_piece(T, d)[1]]
+            for U in _upset_regions():
+                w = upset_nonvanishing_witness(T, U)
+                brute = any(region_contains(U, *d) for d in live)
+                assert (w is not None) == brute, (T, U, w)
+                if w is not None:
+                    assert region_contains(U, *w) and w in live
+                queries += 1
+    assert queries == len(mods) * 5 * 8 * 36
+
+
+def test_upset_check_is_fast_on_p9xp9():
+    # 20 variables: a cover indexed by variable subsets has 2^20 of them,
+    # while the corner test builds one graded piece per zone
+    t0 = time.monotonic()
+    R = make_ring(9, 9)
+    M = quotient_presentation(R, [R.var(v) for v in range(10)])
+    assert vanishes_on_upset(M, reg(-1, 0, 0))
+    assert upset_nonvanishing_witness(M, reg_double_prime(0, 0)) == (0, 1)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_upset_check_cost_does_not_grow_with_i(P11):
+    # On Reg_i(i, i) the antidiagonal k + k' = i - 1 binds and holds i
+    # points; only its clamps are tested, a number fixed by the leads.
+    x0, x1, y0, y1 = (P11.var(v) for v in range(4))
+    pieces = []
+    for i in (10 ** 3, 10 ** 6):
+        t0 = time.monotonic()
+        M = quotient_presentation(P11, [x0 ** 3, x1 ** 3, y0 ** 2, y1 ** 2])
+        assert vanishes_on_upset(M, reg(i, i, i))
+        pieces.append(sum(key[0] == "piece" for key in M._cache))
+        N = quotient_presentation(P11, [x0 ** 3, x1 ** 3])
+        assert upset_nonvanishing_witness(N, reg(i, i, i)) == (0, i - 1)
+        assert time.monotonic() - t0 < 0.5
+    assert pieces[0] == pieces[1] <= 10
 
 
 def _check_against_normal_form(M, window):

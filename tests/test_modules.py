@@ -4,9 +4,10 @@ from bigraded.errors import NotBihomogeneous, ZeroPolynomial
 from bigraded.groebner import graded_piece, ideal_presentation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation, twist,
-                              vec_bidegree, vec_from_poly)
+                              vec_add, vec_bidegree, vec_from_poly)
+from bigraded.resolutions import map_rank_at
 from conftest import irrelevant_gens
-from helpers import quotient_piece_dim, span_piece_dim
+from helpers import quotient_piece_dim, rank_over, span_piece_dim
 
 
 def test_free_module_piece_dims(P11):
@@ -56,19 +57,27 @@ def test_module_map_check_rejects_bad_degree(P11):
         bad.check()
 
 
-def test_piece_matrix_matches_apply(P11):
-    x0, y0 = P11.var(0), P11.var(2)
-    F1 = FreeModule([(1, 1)])
-    F0 = FreeModule([(0, 0)])
-    phi = ModuleMap(P11, F1, F0, [vec_from_poly(x0 * y0)])
-    entries, rows, cols = phi.piece_matrix((2, 1))
-    assert len(rows) == P11.piece_dim(2, 1)
-    assert len(cols) == P11.piece_dim(1, 0)
-    # each column of the piece matrix is the image of a basis monomial
-    for ci, (j, e) in enumerate(cols):
-        img = phi.apply({(j, e): P11.field.one})
-        got = {rows[r]: c for r, cc, c in entries if cc == ci}
-        assert got == img
+@pytest.mark.parametrize("ring", ["P11", "P11q"])
+def test_map_rank_at_matches_apply(ring, request):
+    R = request.getfixturevalue(ring)
+    x0, x1, y0, y1 = (R.var(v) for v in range(4))
+    F1 = FreeModule([(1, 1), (1, 1), (2, 1)])
+    F0 = FreeModule([(0, 0), (1, 0)])
+    cols = [vec_add(R.field, vec_from_poly(x0 * y0), vec_from_poly(y1, 1)),
+            vec_add(R.field, vec_from_poly((x1 * y0).scale(3)), vec_from_poly(y0, 1)),
+            # x1 * cols[0] - x0 * cols[1]: the map has a kernel from (2, 1)
+            vec_add(R.field, vec_from_poly((x0 * x1 * y0).scale(-2)),
+                    vec_from_poly(x1 * y1 - x0 * y0, 1))]
+    phi = ModuleMap(R, F1, F0, cols).check()
+    for d in [(0, 0), (1, 1), (2, 1), (2, 2), (3, 2), (1, 3)]:
+        # the matrix column of a source monomial is its image under apply
+        rows = F0.piece_basis(R, d)
+        matrix = [[0] * len(rows) for _ in range(F1.piece_dim(R, d))]
+        for ci, t in enumerate(F1.piece_basis(R, d)):
+            img = phi.apply({t: R.field.one})
+            for ri, u in enumerate(rows):
+                matrix[ci][ri] = img.get(u, 0)
+        assert map_rank_at(phi, d) == rank_over(matrix, R.field)
 
 
 def test_presentation_dims_against_span_oracle(P11):
