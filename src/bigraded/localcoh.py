@@ -29,24 +29,29 @@ is an isomorphism on the cohomology of every column is one on the total
 cohomology.  So every transition at d is an isomorphism once nu >=
 nu0(d), the largest nu*(d - g) over the generators g of a resolution.
 
-_stable_power bounds nu0 from the Groebner basis alone.  The graded
-Betti numbers of F0/N are at most those of F0/in(N) = sum (R/I_k)(-g_k),
-I_k the monomial ideal of the leads at generator k, and the Taylor
-resolution of R/I_k has its generators at deg lcm of subsets of those
-leads (Herzog-Hibi, Monomial Ideals, Thm 3.3.4), each at most the degree
-of the lcm of them all.  nu*(d - g) only grows with g, so the bound is
-nu*(d - G) for G the componentwise largest g_k + deg lcm(I_k).
+_stable_power bounds nu0 from the leads of the Groebner basis alone,
+with no resolution (La Scala-Stillman, JSC 26, 1998).  Schreyer's theorem
+(Eisenbud, Commutative Algebra, Thm 15.10) gives a free resolution of M
+whose lead terms form a frame: F0 is the generators of M.f0, level one
+the basis leads u at generator k in degree g_k + deg u, and an element
+with lead u_i gets one child, at position i with lead q and degree
+deg_i + deg q, for each minimal monomial q among lcm(u_i, u_j)/u_i over
+the later elements j at its position.  Sorted in decreasing lex order at
+each position, each level misses one more variable (Cor 15.11), so the
+frame ends.  nu*(d - g) only grows with g, so the bound is nu*(d - G) for
+G the componentwise largest degree in the frame.
 """
 
 import math
 from collections import namedtuple
+from operator import add
 
 from .errors import InvalidIndex, InvalidPower, NoStabilization
 from .groebner import block_matrix, graded_piece, presentation_gb, saturate
 from .linalg import rank_entries
 from .modules import FreeModule
 from .resolutions import FreeComplex, irrelevant_resolution, koszul_complex
-from .ring import mono_lcm
+from .ring import mono_div, mono_divides, mono_lcm
 from .sheaf import kunneth_dim
 
 X = "x"
@@ -199,20 +204,41 @@ def _transition_is_iso(M, kind, i, d, nu, hs):
     return w == _delta_rank(M, kind, nu, i - 1, d)
 
 
+def _frame_top(M):
+    """Componentwise largest bidegree of the Schreyer frame on the basis
+    leads (module docstring), () when M.f0 has no generator.  Walked depth
+    first; an element and its later siblings are skipped once the lcm of
+    their full monomials, which bounds every descendant, cannot raise it."""
+    if "lc_frame_top" not in M._cache:
+        ring = M.ring
+        top = list(map(max, zip(*M.f0.gens)))
+
+        def walk(base, leads):
+            hull = list(leads)                  # lcm of each suffix
+            for j in range(len(hull) - 2, -1, -1):
+                hull[j] = mono_lcm(hull[j], hull[j + 1])
+            for j, u in enumerate(leads):
+                a, b = ring.mono_bidegree(hull[j])
+                if base[0] + a <= top[0] and base[1] + b <= top[1]:
+                    return
+                deg = tuple(map(add, base, ring.mono_bidegree(u)))
+                top[:] = map(max, top, deg)
+                qs = sorted({mono_div(mono_lcm(u, v), u)
+                             for v in leads[j + 1:]}, key=sum)
+                walk(deg, sorted((q for k, q in enumerate(qs) if not any(
+                    mono_divides(p, q) for p in qs[:k])), reverse=True))
+
+        leads = presentation_gb(M).leads
+        for k, g in enumerate(M.f0.gens):
+            walk(g, sorted((u for j, u in leads if j == k), reverse=True))
+        M._cache["lc_frame_top"] = tuple(top)
+    return M._cache["lc_frame_top"]
+
+
 def _stable_power(M, d):
     """A power from which every transition at d is an isomorphism:
     nu*(d - G), an upper bound for nu0(d) (see the module docstring)."""
-    if "lc_taylor_top" not in M._cache:
-        ring = M.ring
-        lcms = {}
-        for k, e in presentation_gb(M).leads:
-            lcms[k] = mono_lcm(lcms.get(k, e), e)
-        tops = []
-        for k, (gx, gy) in enumerate(M.f0.gens):
-            ax, ay = ring.mono_bidegree(lcms[k]) if k in lcms else (0, 0)
-            tops.append((gx + ax, gy + ay))
-        M._cache["lc_taylor_top"] = tuple(map(max, zip(*tops)))
-    top = M._cache["lc_taylor_top"]
+    top = _frame_top(M)
     if not top:
         return 1
     return max(1, top[0] - d[0] - M.ring.m, top[1] - d[1] - M.ring.n)
@@ -237,13 +263,14 @@ def local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
     Hom(K_s, F_.) compare column by column, and on a free column R(-g) the
     transition is multiplication by the product of one copy of each
     variable, onto from s >= nu*(d - g) on.  _stable_power bounds nu0 from
-    above by the Taylor resolution of the initial module (module
-    docstring), and the chase sets each transition from that bound on to
-    True without building its matrix.  That is the value the rank test
-    would return, so the chase stops at the same power, reads the same
-    dimension there and certifies the same cells: the skip saves work and
-    changes no answer, and a cell the chase stops at below nu0 is
-    certified exactly as before.
+    above by the degrees of the Schreyer resolution, read off the leads of
+    the Groebner basis (Eisenbud, Commutative Algebra, Thm 15.10; La
+    Scala-Stillman, JSC 26, 1998; module docstring), and the chase sets
+    each transition from that bound on to True without building its
+    matrix.  That is the value the rank test would return, so the chase
+    stops at the same power, reads the same dimension there and certifies
+    the same cells: the skip saves work and changes no answer, and a cell
+    the chase stops at below nu0 is certified exactly as before.
     """
     ring = M.ring
     if i < 0 or i > ring.m + ring.n + 2:

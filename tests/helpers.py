@@ -4,12 +4,14 @@ Everything here recomputes mathematical facts from first principles --
 explicit Cech cochain complexes, dense row reduction, direct monomial
 spans -- sharing no linear algebra or Groebner machinery with the
 package, so package outputs can be checked against a second
-implementation.  Three exceptions are kept as references for faster
+implementation.  Four exceptions are kept as references for faster
 kernels: unskipped_local_cohomology_dim, the transition chase without
-the stable-power skip; max_scan_reduce, the division that rescans for
-the largest term on every step instead of keeping a heap; and
-min_scan_rank, the sparse rank that scans each row for its lowest column
-on every step instead of keeping a heap.
+the stable-power skip; schreyer_frame_levels and taylor_top, the
+unpruned Schreyer frame and the Taylor bound it replaced, both read off
+the leads of the package's Groebner basis; max_scan_reduce, the division
+that rescans for the largest term on every step instead of keeping a
+heap; and min_scan_rank, the sparse rank that scans each row for its
+lowest column on every step instead of keeping a heap.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from bigraded.errors import NoStabilization
+from bigraded.groebner import presentation_gb
 from bigraded.localcoh import (LocalCohomologyValue, _transition_is_iso,
                                ext_graded_dim)
 
@@ -244,6 +247,62 @@ def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
     if nu_max not in hs:
         hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
     return LocalCohomologyValue(hs[nu_max], None, False)
+
+
+# ----------------------------------------- the Schreyer frame, unpruned
+
+
+def _leads_by_generator(M):
+    by_gen = {}
+    for k, e in presentation_gb(M).leads:
+        by_gen.setdefault(k, []).append(e)
+    return by_gen
+
+
+def _bidegree_plus(ring, g, e):
+    return (g[0] + sum(e[:ring.nx]), g[1] + sum(e[ring.nx:]))
+
+
+def schreyer_frame_levels(M):
+    """Generator degrees of the Schreyer frame on the leads of
+    presentation_gb(M), level by level and with no pruning: level 0 is
+    the generators of M.f0, level 1 the leads u at generator k in degree
+    g_k + deg u; the leads at one position are sorted in decreasing lex
+    order, and the one at index i gets a child of degree deg_i + deg q for
+    each minimal q among lcm(u_i, u_j)/u_i, j > i."""
+    ring = M.ring
+    by_gen = _leads_by_generator(M)
+    levels = [list(M.f0.gens)]
+    positions = [(g, by_gen.get(k, [])) for k, g in enumerate(M.f0.gens)]
+    while True:
+        level, below = [], []
+        for base, leads in positions:
+            leads = sorted(leads, reverse=True)
+            for i, u in enumerate(leads):
+                deg = _bidegree_plus(ring, base, u)
+                level.append(deg)
+                qs = {tuple(max(b - a, 0) for a, b in zip(u, v))
+                      for v in leads[i + 1:]}
+                below.append((deg, [q for q in qs if not any(
+                    p != q and all(a <= b for a, b in zip(p, q))
+                    for p in qs)]))
+        if not level:
+            return levels
+        levels.append(level)
+        positions = below
+
+
+def taylor_top(M):
+    """The componentwise largest g_k + deg lcm(leads at generator k) over
+    the generators of M.f0, () when there is none: the Taylor-resolution
+    bound that the Schreyer frame replaced."""
+    ring = M.ring
+    by_gen = _leads_by_generator(M)
+    tops = []
+    for k, g in enumerate(M.f0.gens):
+        hull = tuple(map(max, zip(*by_gen[k]))) if k in by_gen else ()
+        tops.append(_bidegree_plus(ring, g, hull))
+    return tuple(map(max, zip(*tops)))
 
 
 # ------------------------------------------------ the max-scan reduction

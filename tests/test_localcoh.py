@@ -1,11 +1,13 @@
 import math
+import random
+import time
 
 import pytest
 
 from bigraded.errors import (BigradedError, InvalidIndex, InvalidPower,
                              NoStabilization)
-from bigraded.groebner import graded_piece
-from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y,
+from bigraded.groebner import graded_piece, ideal_presentation
+from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y, _frame_top,
                                _stable_power, _transition_is_iso,
                                complex_length, ext_graded_dim, free_lc_dim,
                                h0_via_saturation, lc_table,
@@ -13,9 +15,11 @@ from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y,
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation)
 from bigraded.resolutions import minimal_free_resolution
+from bigraded.ring import make_ring
 from bigraded.sheaf import kunneth_dim
 from conftest import irrelevant_gens
-from helpers import unskipped_local_cohomology_dim
+from helpers import (random_form, random_sparse_poly, schreyer_frame_levels,
+                     taylor_top, unskipped_local_cohomology_dim)
 
 
 def free(ring, gens=((0, 0),)):
@@ -288,6 +292,7 @@ def test_stable_power_bounds_nu0_and_transitions(corpus):
         for d in sorted(cells):
             bound = _stable_power(M, d)
             assert bound >= _resolution_nu0(M, d, gens), (name, d)
+            assert bound <= _resolution_nu0(M, d, [taylor_top(M)]), (name, d)
             for kind in KINDS:
                 for i in range(1, complex_length(M.ring, kind) + 1):
                     for s in (bound, bound + 1):
@@ -307,22 +312,107 @@ def test_stable_power_is_tight_on_reproducer(P11):
     assert _transition_is_iso(M, Y, 1, d, 6, {})
 
 
-def test_skip_leaves_every_answer_unchanged(P11, corpus):
+def _top(degrees):
+    return tuple(map(max, zip(*degrees)))
+
+
+def _frame_modules(P11, P12, P01, corpus):
+    """The corpus, seeded random ideals and quotients on P1xP1, P1xP2 and
+    P0xP1, quotients over the two rings with an empty block, the zero
+    module (with and without a generator) and R/(x0^2, x0x1, x1^2)."""
+    mods = dict(corpus)
+    rng = random.Random(20261019)
+    degs = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+    for ring in (P11, P12, P01):
+        for t in range(10):
+            polys = [random_sparse_poly(ring, rng, rng.choice(degs),
+                                        nterms=rng.randrange(1, 4))
+                     for _ in range(rng.randrange(1, 5))]
+            polys = [f for f in polys if not f.is_zero()]
+            key = (ring.m, ring.n, t)
+            mods["quotient%s" % (key,)] = quotient_presentation(ring, polys)
+            if polys:
+                mods["ideal%s" % (key,)] = ideal_presentation(ring, polys)
+    for m, n in ((-1, 1), (1, -1)):
+        ring = make_ring(m, n)
+        v = [ring.var(k) for k in range(ring.nvars)]
+        mods["R/(v0^2, v0v1)[%d,%d]" % (m, n)] = quotient_presentation(
+            ring, [v[0] * v[0], v[0] * v[1]])
+    mods["0"] = free_presentation(P11, [])
+    mods["R/(1)"] = quotient_presentation(P11, [P11.one()])
+    x0, x1 = P11.var(0), P11.var(1)
+    mods["R/(x0^2,x0x1,x1^2)"] = quotient_presentation(
+        P11, [x0 * x0, x0 * x1, x1 * x1])
+    return mods
+
+
+def test_frame_is_a_resolution_between_minimal_and_taylor(P11, P12, P01,
+                                                           corpus):
+    tighter = 0
+    for name, M in sorted(_frame_modules(P11, P12, P01, corpus).items()):
+        ring = M.ring
+        levels = schreyer_frame_levels(M)
+        assert len(levels) <= ring.nvars + 1, name
+        frame = _top([g for level in levels for g in level])
+        assert _frame_top(M) == frame, name
+        taylor = taylor_top(M)
+        assert all(map(int.__le__, frame, taylor)), (name, frame, taylor)
+        tighter += frame != taylor
+        minimal = _top(_resolution_gens(M))
+        assert all(map(int.__le__, minimal, frame)), (name, minimal, frame)
+        # the Euler identity: the frame's degrees give M's Hilbert function
+        lo = [min(g[c] for g in levels[0]) - 1 if levels[0] else 0
+              for c in (0, 1)]
+        hi = [c + 1 for c in frame] or [1, 1]
+        for a in range(lo[0], hi[0] + 1):
+            for b in range(lo[1], hi[1] + 1):
+                euler = sum((-1) ** i * ring.piece_dim(a - g[0], b - g[1])
+                            for i, level in enumerate(levels)
+                            for g in level)
+                assert euler == graded_piece(M, (a, b))[1], (name, (a, b))
+    assert tighter >= 5
+
+
+def test_frame_beats_taylor_on_three_squares(P11):
+    x0, x1 = P11.var(0), P11.var(1)
+    M = quotient_presentation(P11, [x0 * x0, x0 * x1, x1 * x1])
+    assert taylor_top(M) == (4, 0)
+    assert _frame_top(M) == (3, 0) == _top(_resolution_gens(M))
+    assert [len(level) for level in schreyer_frame_levels(M)] == [1, 3, 2]
+
+
+def test_stable_power_is_cheap_on_p9xp9():
+    # the unpruned frame of R/(x0..x9, y0..y9) has 2^20 elements
+    ring = make_ring(9, 9)
+    for power, want in ((1, 1), (2, 11)):
+        M = quotient_presentation(
+            ring, [ring.var(v) ** power for v in range(ring.nvars)])
+        t0 = time.perf_counter()
+        assert _stable_power(M, (0, 0)) == want
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_skip_leaves_every_answer_unchanged(P11, P12, corpus):
     names = ["R", "R(2,-1)", "m[P1xP1]", "R/m", "R/(x0y0)", "(x0^2y0y1)",
              "x0^2(y0,y1)^1", "minors2x3"]
     modules = [corpus[name] for name in names] + [_reproducer(P11)]
     window = [(a, b) for a in range(-3, 2) for b in range(-3, 2)]
-    for M in modules:
-        for kind in KINDS:
-            for i in range(1, complex_length(M.ring, kind) + 1):
-                for d in window:
-                    for nu_max in (3, 6):
-                        want = unskipped_local_cohomology_dim(
-                            M, kind, i, d, nu_max)
-                        got = local_cohomology_dim(M, kind, i, d, nu_max)
-                        assert got == want, (kind, i, d, nu_max)
-                        if want.certified:
-                            continue
-                        with pytest.raises(NoStabilization):
-                            local_cohomology_dim(M, kind, i, d, nu_max,
-                                                 strict=True)
+    cells = [(M, kind, i, d) for M in modules for kind in KINDS
+             for i in range(1, complex_length(M.ring, kind) + 1)
+             for d in window]
+    # three seeded (1,1)-forms on P1xP2, where the frame is below Taylor
+    rng = random.Random(20261019)
+    F = ideal_presentation(P12, [random_form(P12, rng, (1, 1))
+                                 for _ in range(3)])
+    assert _frame_top(F) == (3, 3) and taylor_top(F) == (4, 4)
+    cells += [(F, IRRELEVANT, 2, d) for d in ((0, 0), (-1, 0), (1, 0))]
+    cells += [(F, Y, 3, d) for d in ((1, -3), (1, -4), (0, -3))]
+    for M, kind, i, d in cells:
+        for nu_max in (3, 6):
+            want = unskipped_local_cohomology_dim(M, kind, i, d, nu_max)
+            got = local_cohomology_dim(M, kind, i, d, nu_max)
+            assert got == want, (kind, i, d, nu_max)
+            if want.certified:
+                continue
+            with pytest.raises(NoStabilization):
+                local_cohomology_dim(M, kind, i, d, nu_max, strict=True)
