@@ -42,16 +42,14 @@ frame ends.  nu*(d - g) only grows with g, so the bound is nu*(d - G) for
 G the componentwise largest degree in the frame.
 """
 
-import math
 from collections import namedtuple
 from operator import add
 
-from .errors import InvalidIndex, InvalidPower, NoStabilization
+from .errors import InvalidIndex, NoStabilization
 from .groebner import block_matrix, graded_piece, presentation_gb, saturate
 from .linalg import rank_entries
-from .modules import FreeModule
-from .resolutions import FreeComplex, irrelevant_resolution, koszul_complex
-from .ring import mono_div, mono_divides, mono_lcm
+from .resolutions import check_power, irrelevant_resolution, koszul_complex
+from .ring import mono_div, mono_divides, mono_lcm, sections_dim, top_dim
 from .sheaf import kunneth_dim
 
 X = "x"
@@ -65,56 +63,42 @@ LocalCohomologyValue = namedtuple(
     "LocalCohomologyValue", ["dim", "stabilized_at", "certified"])
 
 
+def _kind_variables(ring, kind):
+    """The variables whose powers generate the kind's power family; for the
+    irrelevant ideal, the two blocks whose products do, or none when a
+    block is empty and the ideal is zero."""
+    xs, ys = range(ring.nx), range(ring.nx, ring.nvars)
+    table = {X: xs, Y: ys, XY_SUM: range(ring.nvars),
+             IRRELEVANT: range(ring.nvars) if xs and ys else ()}
+    if kind not in table:
+        raise ValueError("unknown ideal kind %r" % (kind,))
+    return table[kind]
+
+
 def ideal_generators(ring, kind):
-    if kind == X:
-        return [ring.var(v) for v in range(ring.nx)]
-    if kind == Y:
-        return [ring.var(ring.nx + w) for w in range(ring.ny)]
-    if kind == XY_SUM:
-        return [ring.var(v) for v in range(ring.nvars)]
+    vs = _kind_variables(ring, kind)
     if kind == IRRELEVANT:
-        return [ring.var(v) * ring.var(ring.nx + w)
-                for v in range(ring.nx) for w in range(ring.ny)]
-    raise ValueError("unknown ideal kind %r" % (kind,))
+        return [ring.var(v) * ring.var(w) for v in vs if v < ring.nx
+                for w in vs if w >= ring.nx]
+    return [ring.var(v) for v in vs]
 
 
 def _power_complex(ring, kind, nu):
-    """Free resolution of R modulo the nu-th power family, with gen_labels."""
+    """Free resolution of R modulo the nu-th power family, with gen_labels;
+    the Koszul complex on no variables, R alone, resolves the zero ideal."""
     key = ("lc_complex", kind, nu)
-    if key in ring._cache:
-        return ring._cache[key]
-    if kind == X:
-        C = koszul_complex(ring, range(ring.nx), nu)
-    elif kind == Y:
-        C = koszul_complex(ring, range(ring.nx, ring.nvars), nu)
-    elif kind == XY_SUM:
-        C = koszul_complex(ring, range(ring.nvars), nu)
-    elif kind == IRRELEVANT:
-        if ring.m < 0 or ring.n < 0:
-            # one block is empty, so the ideal is zero and R resolves itself
-            C = FreeComplex(ring, [FreeModule([(0, 0)])], [])
-            C.gen_labels = [[()]]
-        else:
-            C = irrelevant_resolution(ring, nu)
-    else:
-        raise ValueError("unknown ideal kind %r" % (kind,))
-    ring._cache[key] = C
-    return C
+    if key not in ring._cache:
+        vs = _kind_variables(ring, kind)
+        ring._cache[key] = (irrelevant_resolution(ring, nu)
+                            if kind == IRRELEVANT and vs
+                            else koszul_complex(ring, vs, nu))
+    return ring._cache[key]
 
 
 def _label_mono(ring, label):
     """One copy of each variable a generator label mentions (its diagonal
     support): the transition multiplies that generator by this monomial."""
-    if label and isinstance(label[0], tuple):
-        label = label[0] + label[1]
     return tuple(int(v in label) for v in range(ring.nvars))
-
-
-def check_power(name, nu):
-    """Reject a power below 1: the limit starts at nu = 1, and for nu <= 0
-    the power family holds units or negative exponents."""
-    if nu < 1:
-        raise InvalidPower("%s must be at least 1, got %d" % (name, nu))
 
 
 def complex_length(ring, kind):
@@ -326,18 +310,6 @@ def lc_table(M, kind, i, window, nu_max=8):
 # ------------------------------------------------------- free-module oracle
 
 
-def _cx_nonneg(m, k):
-    if m < 0:
-        return 1 if k == 0 else 0
-    return math.comb(m + k, m) if k >= 0 else 0
-
-
-def _cx_neg(m, k):
-    if m < 0:
-        return 1 if k == 0 else 0
-    return math.comb(-k - 1, m) if k <= -m - 1 else 0
-
-
 def free_lc_dim(kind, i, twist, d, space):
     """Closed-form local cohomology of the twisted free module R(a,b).
 
@@ -348,13 +320,13 @@ def free_lc_dim(kind, i, twist, d, space):
     m, n = space
     k, kp = d[0] + twist[0], d[1] + twist[1]
     if kind == X:
-        return _cx_neg(m, k) * _cx_nonneg(n, kp) if i == m + 1 else 0
+        return top_dim(m, k) * sections_dim(n, kp) if i == m + 1 else 0
     if kind == Y:
-        return _cx_nonneg(m, k) * _cx_neg(n, kp) if i == n + 1 else 0
+        return sections_dim(m, k) * top_dim(n, kp) if i == n + 1 else 0
     if kind == XY_SUM:
-        return _cx_neg(m, k) * _cx_neg(n, kp) if i == m + n + 2 else 0
+        return top_dim(m, k) * top_dim(n, kp) if i == m + n + 2 else 0
     if kind == IRRELEVANT:
         if m < 0 or n < 0:
-            return _cx_nonneg(m, k) * _cx_nonneg(n, kp) if i == 0 else 0
+            return sections_dim(m, k) * sections_dim(n, kp) if i == 0 else 0
         return kunneth_dim(m, n, k, kp, i - 1) if i >= 2 else 0
     raise ValueError("unknown ideal kind %r" % (kind,))

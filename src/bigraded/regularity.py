@@ -16,12 +16,12 @@ from collections import namedtuple
 from .errors import ZeroModule
 from .groebner import block_matrix, graded_piece, upset_nonvanishing_witness
 from .linalg import rank_entries
-from .localcoh import IRRELEVANT, X, XY_SUM, Y, check_power, \
-    h0_via_saturation, local_cohomology_dim
+from .localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation, \
+    local_cohomology_dim
 from .modules import FreeModule, ModuleMap, Presentation, vec_add
 from .regions import dreg, reg, reg_double_prime, reg_prime, \
     region_contains, st_points
-from .resolutions import betti_table, minimal_free_resolution
+from .resolutions import betti_table, check_power, minimal_free_resolution
 from .ring import make_ring
 
 # value: True / False / None (undecided).  witnesses: triples

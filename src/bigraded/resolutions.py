@@ -13,7 +13,7 @@ each resolution step and minimize differ only in what they delete after.
 import itertools
 import weakref
 
-from .errors import ResolutionTooLong
+from .errors import InvalidPower, ResolutionTooLong
 from .linalg import rank_entries
 from .modules import FreeModule, ModuleMap, free_presentation, vec_sub_shift
 from .groebner import block_matrix, column_syzygies, presentation_gb
@@ -283,45 +283,63 @@ def minimize(C):
     return Resolution(ring, terms, diffs, augmentation=aug, minimal=True,
                       module=C.module)
 
-# ------------------------------------------------------------------- koszul
+# ---------------------------------------------------------- power complexes
 
 
-def _power_mono(ring, v, nu):
-    e = [0] * ring.nvars
-    e[v] = nu
-    return tuple(e)
+def check_power(name, nu):
+    """Reject a power below 1: the limit starts at nu = 1, and for nu <= 0
+    the power family holds units or negative exponents."""
+    if nu < 1:
+        raise InvalidPower("%s must be at least 1, got %d" % (name, nu))
 
 
-def koszul_complex(ring, var_indices, nu):
+def _exterior_complex(ring, var_indices, nu, irrelevant=False):
     """Exterior-algebra complex on the nu-th powers of the given variables.
 
-    d(e_S) = sum over positions of (-1)^pos z^nu e_{S minus that variable}.
+    Generators are the sorted subsets U, labelled by U, in degree nu times
+    the bidegree of prod U, with d(e_U) = sum over positions of
+    (-1)^pos z^nu e_{U minus z}.  The Koszul complex has the p-subsets at
+    level p.  The irrelevant complex keeps R at level 0 and the subsets
+    that meet both blocks at level |U| - 1, each level sorted by (number
+    of x-variables, U); it drops the terms whose U minus z misses a block
+    and maps level 1 onto R by x^nu y^nu.  That is the tensor product of
+    the two blocks' augmented Koszul complexes with its sign rule
+    d(a (x) b) = da (x) b + (-1)^|a| a (x) db, shifted down by one.
     """
     vs = sorted(set(var_indices))
+    if vs and (vs[0] < 0 or vs[-1] >= ring.nvars):
+        raise ValueError("variable index out of range 0..%d: %s"
+                         % (ring.nvars - 1, vs))
+    check_power("nu", nu)
     field = ring.field
-    levels = []  # levels[p] = sorted list of p-subsets
-    for p in range(len(vs) + 1):
-        levels.append([tuple(s) for s in itertools.combinations(vs, p)])
+    levels = [list(itertools.combinations(vs, p))
+              for p in range(len(vs) + 1)]
+    if irrelevant:
+        def nx_in(U):
+            return sum(v < ring.nx for v in U)
+        levels = [[()]] + [sorted((U for U in lev if 0 < nx_in(U) < len(U)),
+                                  key=lambda U: (nx_in(U), U))
+                           for lev in levels[2:]]
 
-    def subset_deg(S):
-        a = b = 0
-        for v in S:
-            da, db = ring.var_bidegree(v)
-            a += nu * da
-            b += nu * db
-        return (a, b)
+    def power(U):
+        return tuple(nu * (v in U) for v in range(ring.nvars))
 
-    terms = [FreeModule([subset_deg(S) for S in lev]) for lev in levels]
+    terms = [FreeModule([ring.mono_bidegree(power(U)) for U in lev])
+             for lev in levels]
     diffs = []
-    for p in range(1, len(vs) + 1):
-        index = {S: i for i, S in enumerate(levels[p - 1])}
+    for p in range(1, len(levels)):
+        index = {U: i for i, U in enumerate(levels[p - 1])}
         cols = []
-        for S in levels[p]:
+        for U in levels[p]:
+            if irrelevant and p == 1:
+                cols.append({(0, power(U)): field.one})
+                continue
             col = {}
-            for pos, v in enumerate(S):
-                rest = S[:pos] + S[pos + 1:]
-                coeff = field.one if pos % 2 == 0 else field.neg(field.one)
-                col[(index[rest], _power_mono(ring, v, nu))] = coeff
+            for pos, z in enumerate(U):
+                rest = U[:pos] + U[pos + 1:]
+                if rest in index:
+                    col[(index[rest], power((z,)))] = (
+                        field.one if pos % 2 == 0 else field.neg(field.one))
             cols.append(col)
         diffs.append(ModuleMap(ring, terms[p], terms[p - 1], cols))
     C = FreeComplex(ring, terms, diffs)
@@ -329,66 +347,20 @@ def koszul_complex(ring, var_indices, nu):
     return C
 
 
+def koszul_complex(ring, var_indices, nu):
+    """Koszul complex on the nu-th powers of the given variables, with the
+    sorted subsets as gen_labels (_exterior_complex)."""
+    return _exterior_complex(ring, var_indices, nu)
+
+
 def irrelevant_resolution(ring, nu):
     """Free complex resolving R modulo the nu-th powers x_i^nu y_j^nu of the
-    products of one variable from each block.
+    products of one variable from each block, with the sorted variable
+    subsets as gen_labels (_exterior_complex).
 
-    F_0 = R; for r >= 1, F_r collects pairs (S, T) of nonempty index sets
-    with |S| + |T| = r + 1, one exterior factor per block, with the tensor
-    sign rule d(a (x) b) = da (x) b + (-1)^|a| a (x) db.
+    F_0 = R; for r >= 1, F_r collects the subsets with at least one
+    variable of each block and r + 1 variables in all.
     """
     if ring.m < 0 or ring.n < 0:
         raise ValueError("both variable blocks must be nonempty")
-    field = ring.field
-    xs = list(range(ring.nx))
-    ys = list(range(ring.nx, ring.nvars))
-    levels = [[((), ())]]  # F_0 = R, a single formal pair
-    top = ring.m + ring.n + 1
-    for r in range(1, top + 1):
-        lev = []
-        for p in range(1, r + 1):
-            q = r + 1 - p
-            if q < 1 or p > len(xs) or q > len(ys):
-                continue
-            for S in itertools.combinations(xs, p):
-                for T in itertools.combinations(ys, q):
-                    lev.append((S, T))
-        lev.sort(key=lambda st: (len(st[0]), st[0], st[1]))
-        levels.append(lev)
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
-
-    def pair_deg(ST):
-        S, T = ST
-        return (nu * len(S), nu * len(T))
-
-    terms = [FreeModule([(0, 0)])] + [FreeModule([pair_deg(st) for st in lev])
-                                      for lev in levels[1:]]
-    diffs = []
-    for r in range(1, len(levels)):
-        index = {st: i for i, st in enumerate(levels[r - 1])}
-        cols = []
-        for S, T in levels[r]:
-            col = {}
-            if r == 1:
-                mono = list(_power_mono(ring, S[0], nu))
-                mono[T[0]] = nu
-                col[(0, tuple(mono))] = field.one
-            else:
-                if len(S) >= 2:
-                    for pos, v in enumerate(S):
-                        rest = (S[:pos] + S[pos + 1:], T)
-                        coeff = (field.one if pos % 2 == 0
-                                 else field.neg(field.one))
-                        col[(index[rest], _power_mono(ring, v, nu))] = coeff
-                if len(T) >= 2:
-                    sign = field.one if len(S) % 2 == 0 else field.neg(field.one)
-                    for pos, w in enumerate(T):
-                        rest = (S, T[:pos] + T[pos + 1:])
-                        coeff = sign if pos % 2 == 0 else field.neg(sign)
-                        col[(index[rest], _power_mono(ring, w, nu))] = coeff
-            cols.append(col)
-        diffs.append(ModuleMap(ring, terms[r], terms[r - 1], cols))
-    C = FreeComplex(ring, terms, diffs)
-    C.gen_labels = levels
-    return C
+    return _exterior_complex(ring, range(ring.nvars), nu, irrelevant=True)

@@ -50,6 +50,21 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def sections_dim(m, k):
+    """Number of monomials of degree k in m + 1 variables: dim H^0 of O(k)
+    on P^m for m >= 0, and 1 at k = 0 only for an empty block (m = -1)."""
+    if m < 0:
+        return int(k == 0)
+    return math.comb(m + k, m) if k >= 0 else 0
+
+
+def top_dim(m, k):
+    """Number of Laurent monomials of degree k in m + 1 variables with every
+    exponent negative: dim H^m of O(k) on P^m for m >= 0 (Serre duality,
+    sections_dim at -k-m-1), and 1 at k = 0 only for an empty block."""
+    return sections_dim(m, -k - m - 1)
+
+
 MAX_BLOCK = 32  # the largest m or n of a ring: P^32 x P^32
 
 
@@ -124,15 +139,7 @@ class Ring:
 
     def piece_dim(self, a, b):
         """dim R_{a,b}; C(a+m,m)*C(b+n,n) with empty blocks counting 1 at 0."""
-        if self.nx == 0:
-            xs = 1 if a == 0 else 0
-        else:
-            xs = math.comb(a + self.m, self.m) if a >= 0 else 0
-        if self.ny == 0:
-            ys = 1 if b == 0 else 0
-        else:
-            ys = math.comb(b + self.n, self.n) if b >= 0 else 0
-        return xs * ys
+        return sections_dim(self.m, a) * sections_dim(self.n, b)
 
     def monomials(self, d):
         """Exponent tuples of bidegree d, sorted decreasing in the term order.

@@ -6,21 +6,19 @@ two classical formulas (sections for k >= 0, top-degree duals for
 k <= -m-1), products from the binomial convolution over a+b = i.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import InvalidSpace
 from .regions import reg, region_contains, st_points
+from .ring import _compositions, sections_dim, top_dim
 
 
 def serre_dim(m, k, a):
-    """dim H^a of O(k) on a single projective space of dimension m."""
-    h = 0
-    if a == 0 and k >= 0:
-        h += math.comb(m + k, m)
-    if a == m and k <= -m - 1:
-        h += math.comb(-k - 1, m)
-    return h
+    """dim H^a of O(k) on a single projective space of dimension m; P^-1 is
+    empty, so every group on it is 0."""
+    if m < 0:
+        return 0
+    return (a == 0) * sections_dim(m, k) + (a == m) * top_dim(m, k)
 
 
 def kunneth_dim(m, n, k, kp, i):
@@ -90,7 +88,8 @@ def sheaf_regularity_upset_check(F, p, pp, window):
 
 
 def h0_monomial_basis(m, c):
-    """Monomial basis of the sections of O(c) on one factor.
+    """Monomial basis of the sections of O(c) on one factor, in increasing
+    lex order; [] on the empty P^-1.
 
     A zero-dimensional factor is rigid: every twist of its structure sheaf
     is the structure sheaf, so the single basis element is the (possibly
@@ -98,19 +97,9 @@ def h0_monomial_basis(m, c):
     """
     if m == 0:
         return [(c,)]
-    if c < 0:
+    if m < 0 or c < 0:
         return []
-    out = []
-
-    def rec(prefix, left, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [left]))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e, slots - 1)
-
-    rec([], c, m + 1)
-    return out
+    return list(_compositions(c, m + 1))[::-1]
 
 
 def h0_multiplication_surjective(F, k, kp, direction="x"):
@@ -118,22 +107,20 @@ def h0_multiplication_surjective(F, k, kp, direction="x"):
     shifts the second coordinate instead.)
 
     Multiplication of monomials is monomial, so the image is spanned by the
-    target monomials divisible by a variable of the moving block; coverage
-    of the whole target basis is exactly surjectivity.
+    target monomials divisible by a variable of the moving block.  On a
+    moving factor of dimension >= 1 only the constant, at twist 0, is not;
+    a zero-dimensional one is a Laurent shift, onto.  So a summand fails
+    exactly when its moving twist is 0 on a factor of dimension >= 1 and
+    the other factor has sections (h0_monomial_basis): always when it is
+    zero-dimensional, at twist >= 0 when larger, never when empty.
     """
+    if direction not in ("x", "y"):
+        raise ValueError("direction must be 'x' or 'y', got %r"
+                         % (direction,))
     m, n = F.space
     for a, b in F.twists:
-        if direction == "x":
-            moving_dim, c = m, k + a
-            still = h0_monomial_basis(n, kp + b)
-        else:
-            moving_dim, c = n, kp + b
-            still = h0_monomial_basis(m, k + a)
-        if not still:
-            continue
-        for u in h0_monomial_basis(moving_dim, c):
-            if moving_dim == 0:
-                continue  # Laurent shift: always divisible
-            if not any(e >= 1 for e in u):
-                return False
+        moving, c, other, e = ((m, k + a, n, kp + b) if direction == "x"
+                               else (n, kp + b, m, k + a))
+        if moving >= 1 and c == 0 and (other == 0 or (other > 0 and e >= 0)):
+            return False
     return True

@@ -4,14 +4,16 @@ Everything here recomputes mathematical facts from first principles --
 explicit Cech cochain complexes, dense row reduction, direct monomial
 spans -- sharing no linear algebra or Groebner machinery with the
 package, so package outputs can be checked against a second
-implementation.  Four exceptions are kept as references for faster
+implementation.  Five exceptions are kept as references for faster
 kernels: unskipped_local_cohomology_dim, the transition chase without
 the stable-power skip; schreyer_frame_levels and taylor_top, the
 unpruned Schreyer frame and the Taylor bound it replaced, both read off
 the leads of the package's Groebner basis; max_scan_reduce, the division
 that rescans for the largest term on every step instead of keeping a
-heap; and min_scan_rank, the sparse rank that scans each row for its
-lowest column on every step instead of keeping a heap.
+heap; min_scan_rank, the sparse rank that scans each row for its lowest
+column on every step instead of keeping a heap; and
+enumerated_multiplication_surjective, the section-multiplication test
+that walks the monomial bases its closed form replaced.
 """
 
 import itertools
@@ -171,6 +173,44 @@ def cech_line_bundle_dim_slow(m, k, a):
         neg = {i for i, ei in enumerate(e) if ei < 0}
         total += _cochain_ranks(nverts, neg)[a]
     return total
+
+
+# ------------------------------------------------------ monomial counting
+
+
+def monomial_count(m, k, negative=False):
+    """Exponent vectors of m + 1 entries summing to k, every entry >= 0
+    (every entry <= -1 when negative), counted one by one; with m = -1
+    the empty vector, of degree 0, is the only one."""
+    box = range(k, 0) if negative else range(0, k + 1)
+    return sum(1 for e in itertools.product(box, repeat=m + 1) if sum(e) == k)
+
+
+def _section_monomials(m, c):
+    """Monomial basis of H0(O(c)) on P^m, enumerated: the Laurent power
+    x0^c on a point, none on the empty P^-1."""
+    if m == 0:
+        return [(c,)]
+    return [e for e in itertools.product(range(c + 1), repeat=m + 1)
+            if sum(e) == c] if m > 0 else []
+
+
+def enumerated_multiplication_surjective(F, k, kp, direction):
+    """sheaf.h0_multiplication_surjective by enumeration: a summand fails
+    when the other factor has a section and some target monomial of the
+    moving factor is divisible by no variable of it (a point's Laurent
+    shift always is)."""
+    m, n = F.space
+    for a, b in F.twists:
+        if direction == "x":
+            moving, c, still = m, k + a, _section_monomials(n, kp + b)
+        else:
+            moving, c, still = n, kp + b, _section_monomials(m, k + a)
+        if not still or moving == 0:
+            continue
+        if any(not any(u) for u in _section_monomials(moving, c)):
+            return False
+    return True
 
 
 # ---------------------------------------------------- direct graded pieces

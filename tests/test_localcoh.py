@@ -130,6 +130,22 @@ def test_free_oracle_against_engine(P11):
                 assert got.certified
 
 
+@pytest.mark.parametrize("m,n", [(-1, 2), (2, -1)])
+def test_free_oracle_against_engine_on_an_empty_block(m, n):
+    # the power family of an empty block's ideal, and of the irrelevant
+    # ideal, is the Koszul complex on no variables: R alone
+    R = make_ring(m, n)
+    window = [(a, b) for a in range(-3, 2) for b in range(-3, 2)]
+    for twist in ((0, 0), (1, -2), (-2, 1)):
+        M = free(R, [(-twist[0], -twist[1])])
+        for kind in KINDS:
+            for i in range(0, m + n + 3):
+                for d in window:
+                    got = local_cohomology_dim(M, kind, i, d)
+                    assert got.dim == free_lc_dim(kind, i, twist, d, (m, n))
+                    assert got.certified
+
+
 def test_dictionary_on_free_modules(P11):
     # one index down: degree-(i+1) pieces supported at the products ideal
     # match sheaf cohomology in degree i; degrees 0 and 1 vanish

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bigraded.errors import ResolutionTooLong
+from bigraded.errors import InvalidPower, ResolutionTooLong
 from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
                                presentation_gb)
+from bigraded.localcoh import (KINDS, _label_mono, _power_complex,
+                               ideal_generators)
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
                               vec_add, vec_from_poly, vec_mono_shift)
@@ -93,6 +95,36 @@ def test_koszul_mixed_blocks_bidegrees(P11):
     C = koszul_complex(P11, [0, 2], 1)
     assert sorted(C.terms[1].gens) == [(0, 1), (1, 0)]
     assert C.terms[2].gens == ((1, 1),)
+
+
+def test_power_complexes_refuse_bad_input(P11):
+    # indices name variables 0..nvars-1: a negative one is not counted
+    # from the end, and a power below 1 would make the differentials units
+    for bad in ([0, 7], [4], [-1]):
+        with pytest.raises(ValueError):
+            koszul_complex(P11, bad, 1)
+    for build in (lambda nu: koszul_complex(P11, [0, 2], nu),
+                  lambda nu: irrelevant_resolution(P11, nu)):
+        for nu in (0, -1):
+            with pytest.raises(InvalidPower):
+                build(nu)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (0, 2), (2, 0)])
+def test_every_power_complex_resolves_its_power_family(m, n):
+    R = make_ring(m, n)
+    for kind in KINDS:
+        for nu in (1, 2):
+            C = _power_complex(R, kind, nu)
+            # the transition multiplies a generator by one copy of each
+            # variable of its label, so the label's nu-th power must carry
+            # the generator's bidegree
+            for term, labels in zip(C.terms, C.gen_labels):
+                assert list(term.gens) == [R.mono_bidegree(
+                    [nu * e for e in _label_mono(R, U)]) for U in labels]
+            powers = [f ** nu for f in ideal_generators(R, kind)]
+            M = quotient_presentation(R, powers)
+            assert_windowed_resolution(C, M, square_window(-1, 2 * nu + 1))
 
 
 # -------------------------------------------------------- minimal generators

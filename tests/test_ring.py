@@ -6,8 +6,8 @@ import pytest
 from bigraded.errors import (BigradedError, EmptyRing, InvalidSpace,
                              NotBihomogeneous, ZeroPolynomial)
 from bigraded.ring import (MAX_BLOCK, Poly, bidegree_of, make_ring, mono_key,
-                           mono_mul)
-from helpers import random_sparse_poly
+                           mono_mul, sections_dim, top_dim)
+from helpers import monomial_count, random_sparse_poly
 
 
 def test_make_ring_shapes():
@@ -65,6 +65,14 @@ def test_degenerate_blocks():
     assert R.piece_dim(0, 3) == 4
     assert R.piece_dim(1, 3) == 0
     assert R.monomials((1, 1)) == []
+
+
+def test_sections_and_top_dims_count_monomials():
+    for m in range(-1, 4):
+        for k in range(-8, 7):
+            assert sections_dim(m, k) == monomial_count(m, k), (m, k)
+            assert top_dim(m, k) == monomial_count(m, k, negative=True), \
+                (m, k)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (0, 1), (1, 2), (2, 2)])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bigraded.errors import BigradedError, InvalidSpace
@@ -6,7 +8,8 @@ from bigraded.sheaf import (LineBundleSum, chi, h0_monomial_basis,
                             h0_multiplication_surjective, kunneth_dim,
                             serre_dim, sheaf_regularity_check,
                             sheaf_regularity_upset_check)
-from helpers import cech_line_bundle_dim
+from helpers import (cech_line_bundle_dim,
+                     enumerated_multiplication_surjective, monomial_count)
 
 
 def test_serre_dim_examples():
@@ -21,6 +24,18 @@ def test_serre_dim_matches_cech_oracle():
             for a in range(0, m + 1):
                 assert serre_dim(m, k, a) == cech_line_bundle_dim(m, k, a), \
                     (m, k, a)
+
+
+def test_serre_dim_counts_monomials():
+    # H^0 counts the monomials of degree k, H^m the Laurent monomials with
+    # every exponent negative; the empty P^-1 has no cohomology at all
+    for m in range(-1, 4):
+        for k in range(-8, 7):
+            for a in range(-1, m + 2):
+                want = 0 if m < 0 else (
+                    (a == 0) * monomial_count(m, k)
+                    + (a == m) * monomial_count(m, k, negative=True))
+                assert serre_dim(m, k, a) == want, (m, k, a)
 
 
 def test_point_factor_is_rigid():
@@ -141,6 +156,45 @@ def test_section_monomial_basis():
     assert h0_monomial_basis(1, -1) == []
     assert h0_monomial_basis(0, -3) == [(-3,)]
     assert len(h0_monomial_basis(2, 3)) == 10
+    for m in (1, 2, 3):
+        for c in range(-1, 5):
+            assert h0_monomial_basis(m, c) == sorted(
+                u for u in itertools.product(range(c + 1), repeat=m + 1)
+                if sum(u) == c)
+
+
+def test_empty_block_has_no_sections():
+    assert h0_monomial_basis(-1, 2) == []
+    assert h0_monomial_basis(-1, 0) == []
+    assert serre_dim(-1, 0, 0) == 0
+    assert h0_multiplication_surjective(
+        LineBundleSum((1, -1), [(0, 0)]), 1, 0)
+    assert h0_multiplication_surjective(
+        LineBundleSum((-1, 2), [(0, 0)]), 0, 0, "y")
+
+
+def test_multiplication_direction_is_x_or_y():
+    F = LineBundleSum((1, 1), [(0, 0)])
+    for bad in ("z", "X", None):
+        with pytest.raises(ValueError):
+            h0_multiplication_surjective(F, 1, 1, bad)
+
+
+def test_multiplication_closed_form_matches_enumeration():
+    twist_sets = ([(0, 0)], [(-2, -3), (0, -1)], [(1, 0), (0, 2), (-1, -1)],
+                  [(-1, 1), (2, -2)])
+    for m in range(-1, 3):
+        for n in range(-1, 3):
+            for twists in twist_sets:
+                F = LineBundleSum((m, n), twists)
+                for k in range(-3, 4):
+                    for kp in range(-3, 4):
+                        for direction in ("x", "y"):
+                            assert h0_multiplication_surjective(
+                                F, k, kp, direction) == \
+                                enumerated_multiplication_surjective(
+                                    F, k, kp, direction), \
+                                (m, n, twists, k, kp, direction)
 
 
 def test_section_multiplication_surjectivity():
