@@ -27,14 +27,13 @@ from .errors import BigradedError, InputError, NotBihomogeneous, \
     ZeroPolynomial
 from .groebner import graded_piece, ideal_presentation
 from .localcoh import IRRELEVANT, X, XY_SUM, Y, lc_table
-from .modules import FreeModule, ModuleMap, Presentation, vec_add, \
-    vec_bidegree
+from .modules import FreeModule, ModuleMap, Presentation, vec_bidegree
 from .regions import DREG, REG, REG_DOUBLE_PRIME, REG_PRIME, ST, dreg, reg, \
     reg_double_prime, reg_prime, region_ascii, region_contains, st
 from .regularity import betti_multiplicities, module_betti, \
     multiplication_surjectivity, strong_regularity_check, \
     strong_regularity_frontier, weak_regularity_check
-from .ring import make_ring
+from .ring import _accumulate, make_ring
 from .sheaf import LineBundleSum
 
 # ------------------------------------------------------------ input parsing
@@ -208,9 +207,8 @@ def _parse_module_body(ts, ring):
     while not ts.at_end():
         tok = ts.peek()
         terms = _parse_terms(ts, ring, gens=gens)
-        vec = {}
-        for coeff, exps, eidx in terms:
-            vec = vec_add(field, vec, {(eidx, exps): field.of(coeff)})
+        vec = _accumulate(field, {}, (((eidx, exps), field.of(coeff))
+                                      for coeff, exps, eidx in terms))
         if not vec:
             continue
         try:

@@ -5,12 +5,13 @@ degree-reverse-lexicographic on monomials (x-block before y-block),
 extended term-over-position with ties broken toward the lower generator
 index.  Everything here is deterministic: S-pairs are processed in
 (lcm degree, lcm, i, j) heap order, and bases come back inter-reduced,
-monic, and sorted by decreasing lead term.  Buchberger and the Schreyer
-syzygy loop share one pair generator, one chain criterion and one traced
-reduction.  Vanishing on an up-set is decided at the region's corners:
-standard monomials are closed under division, so a module nonzero in an
-up-set is nonzero at one of its minimal points, tested at a clamp read
-off the leads (upset_nonvanishing_witness).
+monic, and sorted by decreasing lead term.  One S-pair loop, with one
+chain criterion and one traced reduction, computes bases and syzygies:
+run on a Groebner basis, the traces of the pairs that reduce to zero
+generate its syzygies (Schreyer).  Vanishing on an up-set is decided at
+the region's corners: standard monomials are closed under division, so
+a module nonzero in an up-set is nonzero at one of its minimal points,
+tested at a clamp read off the leads (upset_nonvanishing_witness).
 """
 
 import heapq
@@ -124,18 +125,38 @@ def _spair(field, elements, leads, exprs, l, i, j):
 # ------------------------------------------------------------- buchberger
 
 
-def _buchberger_core(ring, module, items, use_chain_criterion):
-    """items: list of (vec, expr) with expr a vector over input columns
-    (or None when not tracking).  Returns (elements, exprs, leads) for the
-    reduced basis; each element still satisfies element = sum expr *
-    input-columns.
+def _item(ring, module, vec, expr):
+    """The pair loop's (vec, expr, lead) for an input vector, once its
+    generator indices and its bidegree are checked."""
+    for gi, _e in vec:
+        if not 0 <= gi < module.rank:
+            raise ValueError("generator index %d out of range" % gi)
+    vec_bidegree(ring, module.gens, vec)
+    return vec, expr, _lead(vec)
+
+
+def _pair_loop(ring, module, items, use_chain_criterion=True,
+               zero_traces=True):
+    """Buchberger's S-pair loop, the only one.
+
+    items: (vec, expr, lead) with vec nonzero, lead its lead term and expr
+    a vector over input columns (or None when not tracking).  Pairs are
+    treated in (lcm degree, lcm, i, j) heap order; a nonzero remainder
+    joins the basis, monic, with its trace.  Returns (elements, exprs,
+    leads, columns, bidegrees), the columns being, with zero_traces, the
+    nonzero traces of the pairs that reduce to zero, at their lcm
+    bidegrees.  Run on a Groebner basis, no element joins and these are
+    its Schreyer syzygies (Eisenbud, Commutative Algebra, Thm 15.10); a
+    chain-dropped pair's trace is a combination of its companions'
+    (unfolding the justifications terminates, see _chain_redundant), so
+    the kept ones still generate.
     """
     field = ring.field
     G, E, leads = [], [], []
+    cols, degs = [], []
     heap, done = [], set()
 
-    def add(vec, expr):
-        lt = _lead(vec)
+    def add(vec, expr, lt):
         c = vec[lt]
         if c != field.one:
             ci = field.inv(c)
@@ -145,31 +166,32 @@ def _buchberger_core(ring, module, items, use_chain_criterion):
         G.append(vec)
         E.append(expr)
         leads.append(lt)
-
-    for vec, expr in items:
-        for gi, _e in vec:
-            if not 0 <= gi < module.rank:
-                raise ValueError("generator index %d out of range" % gi)
-        vec_bidegree(ring, module.gens, vec)
-        add(dict(vec), expr)
-    for j in range(len(G)):
-        for pair in _new_pairs(leads, j):
+        for pair in _new_pairs(leads, len(G) - 1):
             heapq.heappush(heap, pair)
 
+    for item in items:
+        add(*item)
     while heap:
         _deg, l, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
         done.add((i, j))
         if use_chain_criterion and _chain_redundant(leads, done, i, j, l):
             continue
         rem, sexpr = _spair(field, G, leads, E, l, i, j)
         if rem:
-            add(rem, sexpr)
-            for pair in _new_pairs(leads, len(G) - 1):
-                heapq.heappush(heap, pair)
+            add(rem, sexpr, _lead(rem))
+        elif sexpr and zero_traces:
+            la, lb = ring.mono_bidegree(l)
+            ga, gb = module.gens[leads[i][0]]
+            cols.append(sexpr)
+            degs.append((la + ga, lb + gb))
+    return G, E, leads, cols, degs
 
-    # inter-reduce: minimal lead set, then tail reduction
+
+def _interreduce(field, G, E, leads):
+    """Reduced basis from a Groebner basis: a minimal lead set, sorted by
+    decreasing lead term, then tail reduction.  Returns (elements, exprs,
+    leads); each element still satisfies element = sum expr *
+    input-columns."""
     alive = set(range(len(G)))
     for k in sorted(alive, key=lambda k: term_key(leads[k]), reverse=True):
         gk, uk = leads[k]
@@ -217,8 +239,9 @@ class GroebnerBasis:
 
 def buchberger(ring, module, gens, use_chain_criterion=True):
     """Reduced Groebner basis of the submodule generated by gens."""
-    items = [(g, None) for g in map(_nonzero, gens) if g]
-    els, _, _ = _buchberger_core(ring, module, items, use_chain_criterion)
+    items = [_item(ring, module, g, None) for g in map(_nonzero, gens) if g]
+    G, E, leads = _pair_loop(ring, module, items, use_chain_criterion)[:3]
+    els = _interreduce(ring.field, G, E, leads)[0]
     return GroebnerBasis(ring, module, els)
 
 
@@ -229,49 +252,19 @@ def normal_form(f, G):
 # --------------------------------------------------------------- syzygies
 
 
-def _pruned_pairs(leads):
-    """Same-position pairs in (lcm degree, lcm, i, j) order, minus the
-    chain-criterion-redundant ones.
-
-    A dropped pair's trace column is a combination of its companions'
-    (unfolding the justifications terminates, see _chain_redundant), so
-    the kept columns still generate.
-    """
-    done = set()
-    for _deg, l, i, j in sorted(p for j in range(len(leads))
-                                for p in _new_pairs(leads, j)):
-        done.add((i, j))
-        if not _chain_redundant(leads, done, i, j, l):
-            yield l, i, j
-
-
-def _schreyer(ring, gens, elements, leads, exprs):
-    """Schreyer syzygies of a Groebner basis, one column per kept S-pair:
-    the S-pair trace over exprs, at the bidegree of the lead lcm.  Zero
-    traces are omitted.  Returns (columns, bidegrees)."""
-    cols, degs = [], []
-    for l, i, j in _pruned_pairs(leads):
-        rem, sx = _spair(ring.field, elements, leads, exprs, l, i, j)
-        assert not rem, "S-pair of a Groebner basis must reduce to zero"
-        if sx:
-            la, lb = ring.mono_bidegree(l)
-            ga, gb = gens[leads[i][0]]
-            cols.append(sx)
-            degs.append((la + ga, lb + gb))
-    return cols, degs
-
-
 def syzygies(G):
     """Kernel of the evaluation map (free module on G's elements -> ambient).
 
-    The Schreyer loop run with unit expressions: each column is a kept
+    The S-pair loop run on G with unit expressions: each column is a kept
     S-pair's two lcm multipliers minus its division quotients.
     """
-    ring = G.ring
+    ring, els = G.ring, G.elements
     one, zm = ring.field.one, ring.zero_mono
-    els = G.elements
     units = [{(k, zm): one} for k in range(len(els))]
-    cols, degs = _schreyer(ring, G.module.gens, els, G.leads, units)
+    grown, _, _, cols, degs = _pair_loop(ring, G.module,
+                                         zip(els, units, G.leads))
+    assert len(grown) == len(els), \
+        "S-pair of a Groebner basis must reduce to zero"
     target = FreeModule([vec_bidegree(ring, G.module.gens, g) for g in els])
     return ModuleMap(ring, FreeModule(degs), target, cols)
 
@@ -279,8 +272,9 @@ def syzygies(G):
 def column_syzygies(ring, module, cols, col_degs=None):
     """Kernel generators for the map (free on cols) -> module.
 
-    Combines Schreyer syzygies of a tracked Groebner basis of the columns
-    with the membership relations expressing each column through that basis.
+    Combines the Schreyer syzygies of the reduced, tracked Groebner basis
+    of the columns (the S-pair loop run again on it) with the membership
+    relations expressing each column through that basis.
     """
     one, zm = ring.field.one, ring.zero_mono
     cols = [_nonzero(c) for c in cols]
@@ -290,12 +284,15 @@ def column_syzygies(ring, module, cols, col_degs=None):
     items = []
     for j, c in enumerate(cols):
         if c:
-            items.append((c, {(j, zm): one}))
+            items.append(_item(ring, module, c, {(j, zm): one}))
         else:
             syz_cols.append({(j, zm): one})
             syz_degs.append(col_degs[j])
-    els, exprs, leads = _buchberger_core(ring, module, items, True)
-    pair_cols, pair_degs = _schreyer(ring, module.gens, els, leads, exprs)
+    # this run's zero traces are not used, and holding them costs memory
+    G, E, leads = _pair_loop(ring, module, items, zero_traces=False)[:3]
+    els, exprs, leads = _interreduce(ring.field, G, E, leads)
+    pair_cols, pair_degs = _pair_loop(ring, module,
+                                      zip(els, exprs, leads))[3:]
     syz_cols += pair_cols
     syz_degs += pair_degs
 

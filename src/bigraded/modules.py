@@ -9,7 +9,7 @@ break ties toward the lower generator index.
 from operator import add
 
 from .errors import NotBihomogeneous, ZeroPolynomial
-from .ring import mono_key, mono_mul
+from .ring import _accumulate, mono_key, mono_mul
 
 # ---------------------------------------------------------------- vectors
 
@@ -20,14 +20,7 @@ def term_key(t):
 
 
 def vec_add(field, u, v):
-    out = dict(u)
-    for t, c in v.items():
-        acc = field.add(out.get(t, field.zero), c)
-        if acc == 0:
-            out.pop(t, None)
-        else:
-            out[t] = acc
-    return out
+    return _accumulate(field, dict(u), v.items())
 
 
 def vec_sub_shift(field, acc, v, mono, coeff, entered=None):

@@ -18,11 +18,11 @@ from .groebner import block_matrix, graded_piece, upset_nonvanishing_witness
 from .linalg import rank_entries
 from .localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation, \
     local_cohomology_dim
-from .modules import FreeModule, ModuleMap, Presentation, vec_add
+from .modules import FreeModule, ModuleMap, Presentation
 from .regions import dreg, reg, reg_double_prime, reg_prime, \
     region_contains, st_points
 from .resolutions import betti_table, check_power, minimal_free_resolution
-from .ring import make_ring
+from .ring import _accumulate, make_ring
 
 # value: True / False / None (undecided).  witnesses: triples
 # (index, bidegree, dimension) exhibiting a failure.  undecided: cells the
@@ -234,12 +234,9 @@ def _collapse_presentation(M, drop_x):
         cut = lambda e: e[:nx]
         gdeg = lambda g: (g[0], 0)
     f0 = FreeModule([gdeg(g) for g in M.f0.gens])
-    cols = []
-    for col in M.relations.cols:
-        acc = {}
-        for (gi, e), c in col.items():
-            acc = vec_add(tgt.field, acc, {(gi, cut(e)): c})
-        cols.append(acc)
+    cols = [_accumulate(tgt.field, {}, (((gi, cut(e)), c)
+                                        for (gi, e), c in col.items()))
+            for col in M.relations.cols]
     degs = [gdeg(src) for src in M.relations.source.gens]
     rels = ModuleMap(tgt, FreeModule(degs), f0, cols)
     return Presentation(tgt, f0, rels)

@@ -36,6 +36,17 @@ def mono_key(e):
     return (sum(e), tuple(map(neg, reversed(e))))
 
 
+def _accumulate(field, terms, items):
+    """terms[key] += c for each (key, c), in place; a zero sum is dropped."""
+    for key, c in items:
+        acc = field.add(terms.get(key, field.zero), c)
+        if acc == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+    return terms
+
+
 def _compositions(total, parts):
     """All tuples of `parts` nonnegative ints summing to `total`."""
     if parts == 0:
@@ -124,16 +135,8 @@ class Ring:
 
     def from_terms(self, items):
         """Build a polynomial from (monomial, coefficient) pairs, merging dupes."""
-        terms = {}
-        f = self.field
-        for e, c in items:
-            e = tuple(e)
-            acc = f.add(terms.get(e, f.zero), c)
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        return Poly(self, terms)
+        return Poly(self, _accumulate(self.field, {},
+                                      ((tuple(e), c) for e, c in items)))
 
     # ---- graded pieces of R ----
 
@@ -182,15 +185,8 @@ class Poly:
             and self.ring is other.ring
 
     def __add__(self, other):
-        f = self.ring.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = f.add(terms.get(e, f.zero), c)
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        return Poly(self.ring, terms)
+        return Poly(self.ring, _accumulate(self.ring.field, dict(self.terms),
+                                           other.terms.items()))
 
     def __neg__(self):
         f = self.ring.field
@@ -201,16 +197,10 @@ class Poly:
 
     def __mul__(self, other):
         f = self.ring.field
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                acc = f.add(terms.get(e, f.zero), f.mul(c1, c2))
-                if acc == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        return Poly(self.ring, terms)
+        return Poly(self.ring, _accumulate(f, {}, (
+            (mono_mul(e1, e2), f.mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items())))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -29,7 +29,12 @@ def kunneth_dim(m, n, k, kp, i):
 
 def chi(m, k):
     """Euler characteristic of O(k): the binomial C(k+m, m) continued to a
-    polynomial in k, so it is signed for negative twists."""
+    polynomial in k, so it is signed for negative twists; 0 on the empty
+    P^-1."""
+    if m < -1:
+        raise InvalidSpace("m must be an integer >= -1, got %d" % m)
+    if m == -1:
+        return 0
     num = Fraction(1)
     for j in range(1, m + 1):
         num *= Fraction(k + j, j)

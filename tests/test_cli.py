@@ -15,6 +15,14 @@ from bigraded.regularity import module_betti
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+
+def child_env():
+    """The environment of a child process that imports bigraded from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
 M_DOC = "ring field=32003 m=1 n=1\nideal: x0*y0; x0*y1; x1*y0; x1*y1\n"
 R_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0)\n"
 Q_DOC = ("ring field=32003 m=1 n=1\n"
@@ -106,6 +114,40 @@ def test_parse_errors_carry_positions():
         with pytest.raises(exc) as info:
             parse_input(text)
         assert str(info.value) == message
+
+
+def test_relation_terms_accumulate_in_order():
+    # repeated terms merge, a sum that is zero leaves the vector, and a
+    # term that comes back is appended after the terms still present
+    A, B, C = (0, (1, 0, 1, 0)), (1, (0, 0, 1, 0)), (0, (0, 1, 1, 0))
+    ring, M, _ = parse_input(
+        "ring field=7 m=1 n=1\nmodule: gens=(0,0),(1,0)\n  rels: "
+        "x0*y0*e1 + 3*y0*e2 + 2*x0*y0*e1 - 3*y0*e2 + 4*x0*y0*e1 + y0*e2"
+        " + x1*y0*e1 + 6*x0*y0*e1; x0*y0*e1 - 8*x0*y0*e1; 5*y0*e2 + y0*e2\n")
+    assert [list(c.items()) for c in M.relations.cols] == [
+        [(B, 1), (C, 1), (A, 6)], [(B, 6)]]
+    ring, M, _ = parse_input(
+        "ring field=q m=1 n=1\nmodule: gens=(0,0)\n"
+        "  rels: x0*y0*e1 - x1*y0*e1 - x0*y0*e1 + 2*x1*y0*e1 + x0*y0*e1\n")
+    assert list(M.relations.cols[0].items()) == [(C, 1), (A, 1)]
+
+
+def test_long_relation_parses_in_linear_time(tmp_path):
+    # one relation of 64,000 terms (a 1.4 MB document): each term is added
+    # to the relation in place, so parsing is linear in its length
+    n = 64000
+    path = tmp_path / "long.txt"
+    path.write_text("ring field=32003 m=1 n=1\nmodule: gens=(0,0)\n  rels: "
+                    + " + ".join("x0^%d*x1^%d*e1" % (a, n - 1 - a)
+                                 for a in range(n)) + "\n")
+    code = ("import sys; from bigraded.cli import parse_input; "
+            "M = parse_input(open(sys.argv[1]).read())[1]; "
+            "print(len(M.relations.cols[0]), M.relations.source.gens)")
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         env=child_env(), capture_output=True, text=True,
+                         timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "64000 ((63999, 0),)\n"
 
 
 FUZZ_DOCS = [
@@ -394,11 +436,9 @@ def test_largest_field_below_two_to_the_63_runs_lc(doc, capsys):
 def run_child(argv):
     """python -m bigraded.cli argv in a child process that must end
     within a second."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-m", "bigraded.cli"] + argv,
-                          env=env, capture_output=True, text=True, timeout=1)
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=1)
 
 
 def test_huge_ring_is_refused_at_once(doc):

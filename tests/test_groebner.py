@@ -10,7 +10,8 @@ import pytest
 
 from bigraded import groebner
 from bigraded.groebner import (_nf_table, _reduce, block_matrix, buchberger,
-                               graded_piece, ideal_presentation,
+                               column_syzygies, graded_piece,
+                               ideal_presentation,
                                multiplication_matrix, normal_form,
                                presentation_gb, saturate, syzygies,
                                upset_nonvanishing_witness, vanishes_on_upset)
@@ -21,9 +22,10 @@ from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               vec_mono_shift, vec_sub_shift)
 from bigraded.regions import (reg, reg_double_prime, reg_prime,
                               region_contains)
+from bigraded.resolutions import map_rank_at
 from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
-from helpers import max_scan_reduce, span_piece_dim
+from helpers import max_scan_reduce, random_sparse_poly, span_piece_dim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -284,6 +286,76 @@ def test_syzygies_examples(P11):
             acc = vec_add(P11.field, acc,
                           vec_mono_shift(P11.field, Gm.elements[gi], e, c))
         assert acc == {}
+
+
+def assert_generates_kernel(sigma, phi):
+    """sigma: S -> F1 maps into the kernel of phi: F1 -> F0 and onto it on
+    a window around phi's source degrees: rank sigma_d = dim F1_d - rank
+    phi_d.  Holds for any generating set, however it was chosen."""
+    ring = phi.ring
+    assert sigma.target == phi.source
+    for col in sigma.cols:
+        assert phi.apply(col) == {}
+    gens = phi.source.gens or ((0, 0),)
+    for a in range(min(g[0] for g in gens), max(g[0] for g in gens) + 3):
+        for b in range(min(g[1] for g in gens), max(g[1] for g in gens) + 3):
+            d = (a, b)
+            assert map_rank_at(sigma, d) == (
+                phi.source.piece_dim(ring, d) - map_rank_at(phi, d)), d
+
+
+def assert_syzygies_generate(ring, F0, cols, degs):
+    phi = ModuleMap(ring, FreeModule(degs), F0, cols)
+    assert_generates_kernel(column_syzygies(ring, F0, cols, degs), phi)
+    G = buchberger(ring, F0, cols)
+    S = syzygies(G)
+    assert_generates_kernel(S, ModuleMap(ring, S.target, F0, G.elements))
+
+
+def test_syzygies_generate_the_kernel_on_the_corpus(corpus):
+    for name, M in corpus.items():
+        rel = M.relations
+        if rel.source.rank:
+            assert_syzygies_generate(M.ring, M.f0, rel.cols, rel.source.gens)
+
+
+def random_columns(ring, rng, gens):
+    """Three to five random bihomogeneous columns over the free module on
+    gens, and at random places a zero column, a repeat of one of them, a
+    scalar multiple of it and a constant column."""
+    field = ring.field
+    cols, degs = [], []
+    for _ in range(rng.randint(3, 5)):
+        d = (rng.randint(1, 3), rng.randint(0, 2))
+        col = {}
+        for gi, (ga, gb) in enumerate(gens):
+            e = (d[0] - ga, d[1] - gb)
+            if min(e) >= 0 and rng.random() < 0.7:
+                col.update(vec_from_poly(random_sparse_poly(
+                    ring, rng, e, nterms=rng.randint(1, 3)), gi))
+        cols.append(col)
+        degs.append(d)
+    k = rng.randrange(len(cols))
+    extras = [({}, (2, 1)), (dict(cols[k]), degs[k]),
+              ({t: field.mul(field.of(3), c) for t, c in cols[k].items()},
+               degs[k]),
+              ({(0, ring.zero_mono): field.of(5)}, gens[0])]
+    for col, d in extras:
+        i = rng.randint(0, len(cols))
+        cols.insert(i, col)
+        degs.insert(i, d)
+    return cols, degs
+
+
+@pytest.mark.parametrize("spec", [32003, 7, "q"], ids=["GF32003", "GF7", "QQ"])
+def test_syzygies_generate_the_kernel_on_random_columns(spec):
+    ring = make_ring(1, 1, field=spec)
+    rng = random.Random(1801)
+    for gens in ([(0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)]):
+        F0 = FreeModule(gens)
+        for _ in range(3):
+            cols, degs = random_columns(ring, rng, gens)
+            assert_syzygies_generate(ring, F0, cols, degs)
 
 
 def test_ideal_presentation_shape(P11):

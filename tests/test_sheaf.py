@@ -53,12 +53,23 @@ def test_serre_duality():
 
 
 def test_euler_characteristic_product():
-    for m, n in ((1, 1), (1, 2), (2, 2), (0, 2)):
+    for m, n in ((1, 1), (1, 2), (2, 2), (0, 2), (-1, 1), (1, -1), (-1, 2)):
         for k in range(-6, 7):
             for kp in range(-6, 7):
                 total = sum((-1) ** i * kunneth_dim(m, n, k, kp, i)
                             for i in range(0, m + n + 1))
                 assert total == chi(m, k) * chi(n, kp)
+
+
+def test_chi_is_the_alternating_sum_of_serre_dims():
+    # P^-1 is empty: every group is 0, so chi is 0; below -1 is no space
+    for m in range(-1, 4):
+        for k in range(-8, 9):
+            assert chi(m, k) == sum((-1) ** a * serre_dim(m, k, a)
+                                    for a in range(0, m + 1)), (m, k)
+    for k in (-1, 0, 1):
+        with pytest.raises(InvalidSpace):
+            chi(-2, k)
 
 
 def test_kunneth_examples():
