@@ -25,16 +25,11 @@ from collections import namedtuple
 
 from .errors import BigradedError, InputError, NotBihomogeneous, \
     ZeroPolynomial
-from .groebner import graded_piece, ideal_presentation
-from .localcoh import IRRELEVANT, X, XY_SUM, Y, lc_table
 from .modules import FreeModule, ModuleMap, Presentation, vec_bidegree
-from .regions import DREG, REG, REG_DOUBLE_PRIME, REG_PRIME, ST, dreg, reg, \
-    reg_double_prime, reg_prime, region_ascii, region_contains, st
-from .regularity import betti_multiplicities, module_betti, \
-    multiplication_surjectivity, strong_regularity_check, \
-    strong_regularity_frontier, weak_regularity_check
 from .ring import _accumulate, make_ring
-from .sheaf import LineBundleSum
+
+# Only the parse layer above is loaded with the module: each subcommand
+# imports the layers it runs, so a process pays for no other code.
 
 # ------------------------------------------------------------ input parsing
 
@@ -180,6 +175,7 @@ def _parse_ideal_body(ts, ring):
         polys.append(p)
     if not polys:
         ts.error("an ideal needs at least one generator")
+    from .groebner import ideal_presentation
     return ideal_presentation(ring, polys)
 
 
@@ -314,14 +310,14 @@ def _parse_pair(text, what):
     return a, b
 
 
-def _betti_json(betti):
+def _betti_json(mults):
     return {str(d): [[a, b, mult] for (a, b), mult in sorted(seen.items())]
-            for d, seen in betti_multiplicities(betti).items()}
+            for d, seen in mults.items()}
 
 
-def _betti_ascii(betti):
+def _betti_ascii(mults):
     lines = []
-    for d, seen in betti_multiplicities(betti).items():
+    for d, seen in mults.items():
         cells = " ".join("(%d,%d)x%d" % (a, b, mult)
                          for (a, b), mult in sorted(seen.items()))
         lines.append("level %d: %s" % (d, cells))
@@ -385,35 +381,42 @@ def _grid_ascii(title, window, dims, uncertified=()):
 
 
 def _cmd_betti(args, M):
-    betti = module_betti(M)
-    return 0, {"betti": _betti_json(betti)}, _betti_ascii(betti)
+    from .regularity import betti_multiplicities, module_betti
+    mults = betti_multiplicities(module_betti(M))
+    return 0, {"betti": _betti_json(mults)}, _betti_ascii(mults)
 
 
 def _cmd_frontier(args, M):
+    from .regularity import strong_regularity_frontier
     points = strong_regularity_frontier(M)
     return (0, {"frontier": [list(pt) for pt in points]},
             "[" + ",".join("(%d,%d)" % pt for pt in points) + "]")
 
 
 def _cmd_reg_strong(args, M):
+    from .regularity import strong_regularity_check
     v = strong_regularity_check(M, args.p, args.pp)
     return _verdict("strong", args, v,
                     "witness: level %d bidegree (%d,%d) multiplicity %d")
 
 
 def _cmd_reg_weak(args, M):
+    from .regularity import weak_regularity_check
     v = weak_regularity_check(M, args.p, args.pp,
                               require_edge_vanishing=args.edges,
                               nu_max=args.nu_max)
     return _verdict("weak", args, v, "witness: H^%d at (%d,%d) dim %d")
 
 
-_IDEAL_FLAGS = {"x": X, "y": Y, "sum": XY_SUM, "irr": IRRELEVANT}
+# the ideal kinds of localcoh (X, Y, XY_SUM, IRRELEVANT), named as --ideal
+# spells them
+_IDEALS = ("irr", "sum", "x", "y")
 
 
 def _cmd_lc(args, M):
+    from .localcoh import lc_table
     window = _parse_window(args.window)
-    table = lc_table(M, _IDEAL_FLAGS[args.ideal], args.i, window,
+    table = lc_table(M, args.ideal, args.i, window,
                      nu_max=args.nu_max)
     dims, uncertified = table["dims"], table["uncertified"]
     title = "H^%d at ideal '%s'" % (args.i, args.ideal)
@@ -423,6 +426,7 @@ def _cmd_lc(args, M):
 
 
 def _cmd_sheaf(args):
+    from .sheaf import LineBundleSum
     if args.m < -1 or args.n < -1:
         raise InputError("--m and --n must be at least -1")
     window = _parse_window(args.window)
@@ -437,19 +441,20 @@ def _cmd_sheaf(args):
     return 0, payload, _grid_ascii(title, window, dims)
 
 
-# constructors by region kind, in the order --kind lists them
-_REGIONS = {ST: st, REG: reg, REG_PRIME: reg_prime,
-            REG_DOUBLE_PRIME: reg_double_prime, DREG: dreg}
+# the region kinds of regions (ST, REG, REG_PRIME, REG_DOUBLE_PRIME, DREG)
+_REGION_KINDS = ("St", "Reg", "RegPrime", "RegDoublePrime", "DReg")
 
 
 def _cmd_region(args):
+    from .regions import REG_DOUBLE_PRIME, REG_PRIME, Region, region_ascii, \
+        region_contains
     window = _parse_window(args.window)
     if args.kind in (REG_PRIME, REG_DOUBLE_PRIME):
-        R = _REGIONS[args.kind](args.p, args.pp)
+        R = Region(args.kind, -1, args.p, args.pp)
     elif args.i is None:
         raise InputError("--i is required for kind %s" % args.kind)
     else:
-        R = _REGIONS[args.kind](args.i, args.p, args.pp)
+        R = Region(args.kind, args.i, args.p, args.pp)
     k0, k1, l0, l1 = window
     dims = [[1 if region_contains(R, k, kp) else 0
              for kp in range(l0, l1 + 1)] for k in range(k0, k1 + 1)]
@@ -458,6 +463,7 @@ def _cmd_region(args):
 
 
 def _cmd_mult(args, M):
+    from .regularity import multiplication_surjectivity
     frm = _parse_pair(getattr(args, "from"), "--from")
     step = _parse_pair(args.step, "--step")
     if step[0] < 0 or step[1] < 0:
@@ -470,6 +476,10 @@ def _cmd_mult(args, M):
 
 
 def _cmd_verify(args, M):
+    from .groebner import graded_piece
+    from .regularity import module_betti, multiplication_surjectivity, \
+        strong_regularity_check, strong_regularity_frontier, \
+        weak_regularity_check
     checks = []
 
     def record(name, status, detail=""):
@@ -559,13 +569,13 @@ _COMMANDS = (
                                "vanishing on the two edge quadrants")),
               _NU_MAX)),
     ("lc", "local cohomology dimensions on a window", True, _cmd_lc,
-     (("--ideal", dict(choices=sorted(_IDEAL_FLAGS), required=True)),
+     (("--ideal", dict(choices=_IDEALS, required=True)),
       ("--i", _int(required=True)), _WINDOW, _NU_MAX)),
     ("sheaf", "twisted line-bundle cohomology grid", False, _cmd_sheaf,
      tuple((f, _int(required=True)) for f in ("--m", "--n", "--a", "--b"))
      + (("--i", _int(default=0)), _WINDOW)),
     ("region", "ASCII picture of a lattice region", False, _cmd_region,
-     (("--kind", dict(choices=tuple(_REGIONS), required=True)),
+     (("--kind", dict(choices=_REGION_KINDS, required=True)),
       ("--i", _int(default=None)), ("--p", _int(default=0)),
       ("--pp", _int(default=0)), _WINDOW)),
     ("mult", "is multiplication onto a later piece?", True, _cmd_mult,
@@ -611,7 +621,11 @@ def _merge_negative_values(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_merge_negative_values(argv))
+    ap = build_parser()
+    args = ap.parse_args(_merge_negative_values(argv))
+    # argparse drops a '--' value ('--i=--'), leaving an empty list
+    if [] in vars(args).values():
+        ap.error("an option's value is missing")
     try:
         if args.reads_file:
             _ring, M, meta = parse_input(_read(args.file))

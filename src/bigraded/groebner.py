@@ -521,8 +521,10 @@ def saturate(M, ideal_gens):
         nxt = ideal_quotient(ring, F, cur, polys)
         if not any(normal_form(v, gb_cur) for v in nxt):
             break
-        cur = nxt
-        gb_cur = buchberger(ring, F, cur)
+        # the next round starts from the reduced basis, not from every
+        # generator of the quotient, so the rounds do not grow
+        gb_cur = buchberger(ring, F, nxt)
+        cur = gb_cur.elements
 
     kept = [v for v in cur if normal_form(v, gb0)]
     if not kept:

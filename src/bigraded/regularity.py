@@ -9,6 +9,9 @@ Two independent routes to a verdict:
   the irrelevant ideal on the staircase sets attached to a candidate
   pair, so its verdict may come back undecided when the Ext limit fails
   to stabilize within the allotted power.
+
+The cohomological checks import localcoh when they run, so the resolution
+route does not load it.
 """
 
 from collections import namedtuple
@@ -16,8 +19,6 @@ from collections import namedtuple
 from .errors import ZeroModule
 from .groebner import block_matrix, graded_piece, upset_nonvanishing_witness
 from .linalg import rank_entries
-from .localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation, \
-    local_cohomology_dim
 from .modules import FreeModule, ModuleMap, Presentation
 from .regions import dreg, reg, reg_double_prime, reg_prime, \
     region_contains, st_points
@@ -110,6 +111,7 @@ def weak_regularity_check(M, p, pp, require_edge_vanishing=False, nu_max=8):
     (p, p') kills the torsion on Reg_{-1}(p, p') = {k >= p+1, k' >= p'+1},
     which contains both edge quadrants of (p+1, p'+1).
     """
+    from .localcoh import IRRELEVANT, h0_via_saturation, local_cohomology_dim
     check_power("nu_max", nu_max)
     ring = M.ring
     witnesses, undecided = [], []
@@ -154,6 +156,7 @@ def vc_window_verify(M, d, p, pp, window, nu_max=8):
     {"ok", "violations", "undecided"}; ok is None when nothing failed
     but some cell would not certify.
     """
+    from .localcoh import X, XY_SUM, Y, local_cohomology_dim
     check_power("nu_max", nu_max)
     ring = M.ring
     k0, k1, l0, l1 = window

@@ -66,6 +66,18 @@ def _x_power_times_y_power(ring, t, s):
     return ideal_presentation(ring, polys)
 
 
+# A rank-3 module on P1xP1 whose torsion at the irrelevant ideal takes four
+# saturation rounds; the rounds grew to hundreds of generators when each
+# passed on every generator of its quotient instead of a reduced basis.
+SATURATION_ROUNDS_DOC = """ring field=32003 m=1 n=1
+module: gens=(0,0),(0,1),(1,1)
+  rels: 3*x0*y1^2*e1 - 36*x0*y1*e2 + 24*x1*y0*e2 - 46*y1*e3;
+    -40*x0*x1^2*y1*e1 - 49*x1^3*e2 + 45*x0^2*x1*e2 - 4*x0^3*e2;
+    22*x0*y1^2*e1 - 2*x1*y0^2*e1 + 25*x1*y0*y1*e1 + 46*x0*y0^2*e1
+      + 75*x1*y1*e2 - 48*x0*y1*e2 - 37*y1*e3;
+    -36*x0*e1 - 2*x1*e1; -35*x0*y0*e1 + 35*x1*y1*e1 + 118*e3
+"""
+
 TWIST_RANGE = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 
 CORPUS_NAMES = (

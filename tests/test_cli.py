@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from bigraded.cli import (MAX_WINDOW_CELLS, _merge_negative_values,
                           _parse_window, main, parse_input)
 from bigraded.errors import BigradedError, InputError, NotBihomogeneous
 from bigraded.regularity import module_betti
+from conftest import SATURATION_ROUNDS_DOC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -363,6 +365,129 @@ def test_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(M_DOC))
     rc, out = run(capsys, ["frontier", "-"])
     assert (rc, out) == (0, "[(1,1)]\n")
+
+
+# argv fuzz: the options of each subcommand with the kind of value each
+# takes, and the values a kind draws from, typos and out-of-range included
+ARGV_OPTIONS = {
+    "betti": (), "frontier": (),
+    "reg-strong": (("--p", "int"), ("--pp", "int")),
+    "reg-weak": (("--p", "int"), ("--pp", "int"), ("--edges", None),
+                 ("--nu-max", "nu")),
+    "lc": (("--ideal", "ideal"), ("--i", "int"), ("--window", "window"),
+           ("--nu-max", "nu")),
+    "sheaf": (("--m", "int"), ("--n", "int"), ("--a", "int"),
+              ("--b", "int"), ("--i", "int"), ("--window", "window")),
+    "region": (("--kind", "kind"), ("--i", "int"), ("--p", "int"),
+               ("--pp", "int"), ("--window", "window")),
+    "mult": (("--from", "pair"), ("--step", "pair")),
+    "verify": (("--nu-max", "nu"),),
+}
+ARGV_JUNK = ["", "x", "1.5", "-", "--", "1,", "0:0", "a:b,0:0", "1:0,0:0",
+             "٣", "--json"]
+
+
+def _argv_value(rng, kind):
+    if kind == "int":
+        return str(rng.randint(-3, 5))
+    if kind == "nu":
+        return str(rng.randint(-1, 3))
+    if kind == "ideal":
+        return rng.choice(["irr", "sum", "x", "y", "ir", "IRR", "xy", "z"])
+    if kind == "kind":
+        return rng.choice(["St", "Reg", "RegPrime", "RegDoublePrime", "DReg",
+                           "reg", "Reg'", "DREG"])
+    if kind == "pair":
+        return "%d,%d" % (rng.randint(-2, 2), rng.randint(-2, 2))
+    k0, l0 = rng.randint(-3, 2), rng.randint(-3, 2)
+    return "%d:%d,%d:%d" % (k0, k0 + rng.randint(-1, 2),
+                            l0, l0 + rng.randint(-1, 2))
+
+
+def _fuzzed_argv(rng, docs):
+    cmd = rng.choice(sorted(ARGV_OPTIONS))
+    opts = [[flag] + ([_argv_value(rng, kind)] if kind else [])
+            for flag, kind in ARGV_OPTIONS[cmd] if kind or rng.random() < 0.5]
+    for _ in range(rng.randint(0, 2)):
+        if not opts:
+            break
+        edit = rng.choice(["drop", "repeat", "junk", "bare", "glue",
+                           "shuffle"])
+        k = rng.randrange(len(opts))
+        if edit == "drop":
+            del opts[k]
+        elif edit == "repeat":
+            flag, kind = ARGV_OPTIONS[cmd][rng.randrange(
+                len(ARGV_OPTIONS[cmd]))]
+            opts.append([flag] + ([_argv_value(rng, kind)] if kind else []))
+        elif edit == "junk":
+            opts[k] = opts[k][:1] + [rng.choice(ARGV_JUNK)]
+        elif edit == "bare":
+            opts[k] = opts[k][:1]
+        elif edit == "glue":
+            opts[k] = ["=".join(opts[k][:1] + [rng.choice(ARGV_JUNK)])]
+        else:
+            rng.shuffle(opts)
+    head = [cmd]
+    if cmd not in ("sheaf", "region") and rng.random() < 0.9:
+        head.append(rng.choice(docs))
+    argv = head + [tok for opt in opts for tok in opt]
+    if rng.random() < 0.3:
+        argv.append("--json")
+    return argv
+
+
+def test_argv_fuzz_exits_with_a_documented_code(doc, capsys):
+    # seeded argv edits of every subcommand: whatever the command line,
+    # main returns 0, 1, 2 or 3 (argparse leaves with SystemExit) and
+    # prints no traceback
+    docs = [doc(M_DOC, "m.txt"), doc(Q_DOC, "q.txt"), doc(R_DOC, "r.txt"),
+            doc("ring field=7 m=1 n=1\nideal: x0*\n", "bad.txt"),
+            doc(M_DOC, "m.txt") + ".missing"]
+    rng = random.Random(20)
+    codes, escapes = {}, []
+    t0 = time.perf_counter()
+    for _ in range(400):
+        argv = _fuzzed_argv(rng, docs)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any other exception is a traceback
+            escapes.append((argv, repr(exc)))
+            continue
+        _out, err = capsys.readouterr()
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            escapes.append((argv, code, err))
+        codes[code] = codes.get(code, 0) + 1
+    assert escapes == []
+    assert time.perf_counter() - t0 < 20.0
+    # the edits leave enough command lines whole to reach every answer
+    assert set(codes) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("opt", [["--window", "--"], ["--window=--"],
+                                 ["--i=--"], ["--nu-max=--"]])
+def test_dashes_as_a_value_exit_three(doc, capsys, opt):
+    # argparse drops a '--' value and leaves an empty list in its place
+    argv = ["lc", doc(M_DOC), "--ideal", "irr", "--i", "2",
+            "--window", "0:0,0:0"] + opt
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+
+
+def test_saturation_rounds_start_from_a_reduced_basis(doc, capsys):
+    # four saturation rounds; passing every quotient generator on to the
+    # next round grew them to 5, 95, 360, 472 and 73 generators (about 50 s)
+    t0 = time.perf_counter()
+    rc, out = run(capsys, ["lc", doc(SATURATION_ROUNDS_DOC), "--ideal", "irr",
+                           "--i", "0", "--window", "-1:2,-1:2", "--json"])
+    assert time.perf_counter() - t0 < 10.0
+    grid = json.loads(out)["grid"]
+    assert rc == 0 and grid["uncertified"] == []
+    assert grid["dims"] == [[0, 0, 0, 0], [0, 1, 3, 5], [0, 1, 4, 5],
+                            [0, 1, 5, 5]]
 
 
 def test_missing_file_is_input_error(capsys):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from bigraded.cli import parse_input
 from bigraded.errors import (BigradedError, InvalidIndex, InvalidPower,
                              NoStabilization)
 from bigraded.groebner import graded_piece, ideal_presentation
@@ -17,7 +18,7 @@ from bigraded.modules import (FreeModule, ModuleMap, Presentation,
 from bigraded.resolutions import minimal_free_resolution
 from bigraded.ring import make_ring
 from bigraded.sheaf import kunneth_dim
-from conftest import irrelevant_gens
+from conftest import SATURATION_ROUNDS_DOC, irrelevant_gens
 from helpers import (random_form, random_sparse_poly, schreyer_frame_levels,
                      taylor_top, unskipped_local_cohomology_dim)
 
@@ -221,6 +222,23 @@ def test_h0_splits_off_torsion_summand(P11):
     for a in range(0, 4):
         for b in range(0, 4):
             assert graded_piece(H, (a, b))[1] == graded_piece(Q, (a, b))[1]
+
+
+def test_h0_by_saturation_matches_ext_at_the_stable_power(corpus):
+    # two routes to H^0: the torsion submodule found by saturation, and
+    # Ext^0 against the power family once its transitions are isomorphisms.
+    # The corpus has little torsion; the four-round module has plenty
+    modules = sorted(corpus.items()) + [
+        ("saturation-rounds", parse_input(SATURATION_ROUNDS_DOC)[1])]
+    for name, M in modules:
+        for kind in KINDS:
+            H = h0_via_saturation(M, kind)
+            for d in ((a, b) for a in range(-1, 3) for b in range(-1, 3)):
+                nu = _stable_power(M, d)
+                want = graded_piece(H, d)[1]
+                assert [ext_graded_dim(M, kind, 0, d, s)[0]
+                        for s in (nu, nu + 1)] == [want, want], \
+                    (name, kind, d)
 
 
 # ---------------------------------------------------------------- invariants

@@ -67,8 +67,6 @@ def test_koszul_two_variables(P11):
     assert [t.rank for t in C.terms] == [1, 2, 1]
     assert C.terms[1].gens == ((1, 0), (1, 0))
     assert C.terms[2].gens == ((2, 0),)
-    M = quotient_presentation(P11, [P11.var(0), P11.var(1)])
-    assert_windowed_resolution(C, M, square_window(-1, 4))
 
 
 def test_koszul_single_power(P11):
@@ -124,7 +122,9 @@ def test_every_power_complex_resolves_its_power_family(m, n):
                     [nu * e for e in _label_mono(R, U)]) for U in labels]
             powers = [f ** nu for f in ideal_generators(R, kind)]
             M = quotient_presentation(R, powers)
-            assert_windowed_resolution(C, M, square_window(-1, 2 * nu + 1))
+            # [-1, 3]^2 at nu = 1, [-1, 4]^2 at nu = 2
+            window = square_window(-1, max(4, 2 * nu + 1))
+            assert_windowed_resolution(C, M, window)
 
 
 # -------------------------------------------------------- minimal generators
@@ -391,22 +391,6 @@ def test_irrelevant_resolution_augmentation_ideal(P11):
         g_tgt = buchberger(P11, fm, [vec_from_poly(f) for f in target])
         assert all(g_tgt.contains(c) for c in cols)
         assert all(g_cols.contains(vec_from_poly(f)) for f in target)
-
-
-def test_irrelevant_resolution_windowed_exactness(P11):
-    for nu in (1, 2):
-        C = irrelevant_resolution(P11, nu)
-        powers = [P11.var(i) ** nu * P11.var(2 + j) ** nu
-                  for i in range(2) for j in range(2)]
-        M = quotient_presentation(P11, powers)
-        assert_windowed_resolution(C, M, square_window(-1, 4))
-
-
-def test_irrelevant_resolution_on_p1xp2(P12):
-    C = irrelevant_resolution(P12, 1)
-    assert C.composites_vanish()
-    M = quotient_presentation(P12, irrelevant_gens(P12))
-    assert_windowed_resolution(C, M, square_window(0, 3))
 
 
 def test_irrelevant_resolution_minimizes_to_minimal(P11):
