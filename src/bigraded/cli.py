@@ -18,7 +18,6 @@ verdict, 2 undecided, 3 input error.
 """
 
 import argparse
-import json
 import re
 import sys
 from collections import namedtuple
@@ -29,7 +28,8 @@ from .modules import FreeModule, ModuleMap, Presentation, vec_bidegree
 from .ring import _accumulate, make_ring
 
 # Only the parse layer above is loaded with the module: each subcommand
-# imports the layers it runs, so a process pays for no other code.
+# imports the layers it runs, and main imports json only under --json, so
+# a process pays for no other code.
 
 # ------------------------------------------------------------ input parsing
 
@@ -633,7 +633,10 @@ def main(argv=None):
             payload["ring"] = meta
         else:
             code, payload, text = args.func(args)
-        print(json.dumps(payload, sort_keys=True) if args.json else text)
+        if args.json:
+            import json
+            text = json.dumps(payload, sort_keys=True)
+        print(text)
         return code
     except (BigradedError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -8,9 +8,11 @@ index.  Everything here is deterministic: S-pairs are processed in
 monic, and sorted by decreasing lead term.  One S-pair loop, with one
 chain criterion and one traced reduction, computes bases and syzygies:
 run on a Groebner basis, the traces of the pairs that reduce to zero
-generate its syzygies (Schreyer).  Vanishing on an up-set is decided at
-the region's corners: standard monomials are closed under division, so
-a module nonzero in an up-set is nonzero at one of its minimal points,
+generate its syzygies (Schreyer).  The reduction also takes another term
+order: the Schreyer frame of resolutions.py reduces under the order it
+induces on each level.  Vanishing on an up-set is decided at the
+region's corners: standard monomials are closed under division, so a
+module nonzero in an up-set is nonzero at one of its minimal points,
 tested at a clamp read off the leads (upset_nonvanishing_witness).
 """
 
@@ -38,7 +40,7 @@ def _nonzero(vec):
     return {t: c for t, c in vec.items() if c != 0}
 
 
-def _reduce(field, f, elements, leads, exprs=None, expr=None):
+def _reduce(field, f, elements, leads, exprs=None, expr=None, order=None):
     """Full normal form against monic elements with the given lead terms,
     traced when expr is given.
 
@@ -46,14 +48,18 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None):
     takes the largest term t of f, and for the first lead that divides it
     subtracts c * x^q * elements[k] from f and, when tracing, c * x^q *
     exprs[k] from expr; both are copied once and updated in place.  The
-    terms of f wait in a heap keyed by the negated term_key, pushed when
-    they enter f; an entry whose term has since cancelled is skipped.
-    Returns (remainder, expr).
+    terms of f wait in a heap, pushed when they enter f; an entry whose
+    term has since cancelled is skipped.  The heap key is order(term), the
+    smallest key for the largest term, or by default the negated term_key,
+    written inline.  Returns (remainder, expr).
     """
     work = dict(f)
     if expr is not None:
         expr = dict(expr)
-    heap = [((-sum(e), e[::-1], gi), (gi, e)) for gi, e in work]
+    if order is None:
+        heap = [((-sum(e), e[::-1], gi), (gi, e)) for gi, e in work]
+    else:
+        heap = [(order(t), t) for t in work]
     heapq.heapify(heap)
     rem = {}
     entered = []
@@ -71,8 +77,12 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None):
             continue
         q = mono_div(e, lu)
         vec_sub_shift(field, work, elements[k], q, c, entered)
-        for gj, u in entered:
-            heapq.heappush(heap, ((-sum(u), u[::-1], gj), (gj, u)))
+        if order is None:
+            for gj, u in entered:
+                heapq.heappush(heap, ((-sum(u), u[::-1], gj), (gj, u)))
+        else:
+            for t in entered:
+                heapq.heappush(heap, (order(t), t))
         entered.clear()
         if expr is not None:
             vec_sub_shift(field, expr, exprs[k], q, c)
@@ -108,9 +118,10 @@ def _chain_redundant(leads, done, i, j, l):
     return False
 
 
-def _spair(field, elements, leads, exprs, l, i, j):
+def _spair(field, elements, leads, exprs, l, i, j, order=None):
     """Reduced S-vector of the monic elements i, j with lead lcm l, and
-    its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients)."""
+    its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients),
+    under the term order of _reduce."""
     one = field.one
     qi = mono_div(l, leads[i][1])
     qj = mono_div(l, leads[j][1])
@@ -120,7 +131,7 @@ def _spair(field, elements, leads, exprs, l, i, j):
     if exprs[i] is not None:
         sx = vec_mono_shift(field, exprs[i], qi, one)
         vec_sub_shift(field, sx, exprs[j], qj, one)
-    return _reduce(field, s, elements, leads, exprs, sx)
+    return _reduce(field, s, elements, leads, exprs, sx, order)
 
 # ------------------------------------------------------------- buchberger
 

@@ -30,16 +30,12 @@ cohomology.  So every transition at d is an isomorphism once nu >=
 nu0(d), the largest nu*(d - g) over the generators g of a resolution.
 
 _stable_power bounds nu0 from the leads of the Groebner basis alone,
-with no resolution (La Scala-Stillman, JSC 26, 1998).  Schreyer's theorem
-(Eisenbud, Commutative Algebra, Thm 15.10) gives a free resolution of M
-whose lead terms form a frame: F0 is the generators of M.f0, level one
-the basis leads u at generator k in degree g_k + deg u, and an element
-with lead u_i gets one child, at position i with lead q and degree
-deg_i + deg q, for each minimal monomial q among lcm(u_i, u_j)/u_i over
-the later elements j at its position.  Sorted in decreasing lex order at
-each position, each level misses one more variable (Cor 15.11), so the
-frame ends.  nu*(d - g) only grows with g, so the bound is nu*(d - G) for
-G the componentwise largest degree in the frame.
+with no resolution (La Scala-Stillman, JSC 26, 1998): the degrees of
+Schreyer's resolution (resolutions.schreyer_frame) follow from the leads
+by the child rule resolutions.frame_children, an element of lead u and
+degree g having a child of degree g + deg q for each of its q.
+nu*(d - g) only grows with g, so the bound is nu*(d - G) for G the
+componentwise largest degree in the frame.
 """
 
 from collections import namedtuple
@@ -48,8 +44,9 @@ from operator import add
 from .errors import InvalidIndex, NoStabilization
 from .groebner import block_matrix, graded_piece, presentation_gb, saturate
 from .linalg import rank_entries
-from .resolutions import check_power, irrelevant_resolution, koszul_complex
-from .ring import mono_div, mono_divides, mono_lcm, sections_dim, top_dim
+from .resolutions import (check_power, frame_children, irrelevant_resolution,
+                          koszul_complex)
+from .ring import mono_lcm, sections_dim, top_dim
 from .sheaf import kunneth_dim
 
 X = "x"
@@ -207,10 +204,7 @@ def _frame_top(M):
                     return
                 deg = tuple(map(add, base, ring.mono_bidegree(u)))
                 top[:] = map(max, top, deg)
-                qs = sorted({mono_div(mono_lcm(u, v), u)
-                             for v in leads[j + 1:]}, key=sum)
-                walk(deg, sorted((q for k, q in enumerate(qs) if not any(
-                    mono_divides(p, q) for p in qs[:k])), reverse=True))
+                walk(deg, [q for q, _k in frame_children(leads, j)])
 
         leads = presentation_gb(M).leads
         for k, g in enumerate(M.f0.gens):

@@ -6,8 +6,14 @@ constant, so minimization is plain unit-pivot Gaussian cancellation:
 cancelling the pivot at (row i, col j) of d corrects d's other columns,
 zeroes row j of the next differential and column i of the previous one
 (both exactly, no correction terms), and preserves exactness.  One
-kernel, _cancel_units, does this for every map; the minimal presentation,
-each resolution step and minimize differ only in what they delete after.
+kernel, _cancel_units, does this for every map; minimal_generators and
+minimize differ only in what they delete after.
+
+The minimal free resolution is minimize of the Schreyer frame: F_1 is
+the Groebner basis of the relations, and each later level is the set of
+S-pair syzygies of the one before, one per minimal lead quotient, reduced
+under the Schreyer order of the level they live in, so the leads alone
+fix every generator degree (schreyer_frame).
 """
 
 import itertools
@@ -15,8 +21,10 @@ import weakref
 
 from .errors import InvalidPower, ResolutionTooLong
 from .linalg import rank_entries
-from .modules import FreeModule, ModuleMap, free_presentation, vec_sub_shift
-from .groebner import block_matrix, column_syzygies, presentation_gb
+from .modules import (FreeModule, ModuleMap, free_presentation, vec_bidegree,
+                      vec_sub_shift)
+from .groebner import _spair, block_matrix, presentation_gb
+from .ring import mono_div, mono_divides, mono_lcm, mono_mul
 
 # ---------------------------------------------------------------- complexes
 
@@ -146,96 +154,111 @@ def _cancel_units(field, zm, cols):
         cancelled.append((k, ri))
     return cancelled
 
-
-def _submap(ring, cols, src, tgt, keep_cols, keep_rows):
-    """The map on the kept columns and rows of cols (column index ->
-    sparse column; a missing column is zero), renumbered in the given
-    order; src and tgt give the generator bidegrees by index."""
-    newrow = {r: i for i, r in enumerate(keep_rows)}
-    return ModuleMap(ring, FreeModule([src[k] for k in keep_cols]),
-                     FreeModule([tgt[r] for r in keep_rows]),
-                     [{(newrow[r], mono): c
-                       for (r, mono), c in cols.get(k, {}).items()}
-                      for k in keep_cols])
-
-
-def _cancel_map(phi):
-    """Cancel the constant pivots of phi and drop the cancelled rows and
-    the columns that became zero.
-
-    Returns (alive, psi): the surviving row indices of phi, in order, and
-    the constant-free map onto the free module on them.
-    """
-    ring = phi.ring
-    cols = {k: dict(c) for k, c in enumerate(phi.cols) if c}
-    gone = {ri for _k, ri in _cancel_units(ring.field, ring.zero_mono, cols)}
-    alive = [r for r in range(phi.target.rank) if r not in gone]
-    return alive, _submap(ring, cols, phi.source.gens, phi.target.gens,
-                          sorted(cols), alive)
-
 # ----------------------------------------------------- minimal presentations
 
 
-def _minimize_presentation(M):
-    """Cancel constant pivots out of the relation matrix.
-
-    Returns (survivors, f0, relations, augmentation): surviving original
-    generator indices, the free module on them, a constant-free relation
-    map into it, and the inclusion of the survivors into M.f0.
-    """
-    if "min_pres" not in M._cache:
-        ring = M.ring
-        survivors, rels = _cancel_map(M.relations)
-        aug = ModuleMap(ring, rels.target, M.f0,
-                        [{(r, ring.zero_mono): ring.field.one}
-                         for r in survivors])
-        M._cache["min_pres"] = (survivors, rels.target, rels, aug)
-    return M._cache["min_pres"]
-
-
 def minimal_generators(M):
-    """Minimal bihomogeneous generating set as (element of f0, bidegree)."""
-    survivors, f0, _rels, _aug = _minimize_presentation(M)
-    zm = M.ring.zero_mono
-    one = M.ring.field.one
-    return [({(r, zm): one}, deg) for r, deg in zip(survivors, f0.gens)]
+    """Minimal bihomogeneous generating set as (element of f0, bidegree):
+    the generators of M.f0 left once the constant pivots of the relations
+    are cancelled."""
+    ring = M.ring
+    cols = {k: dict(c) for k, c in enumerate(M.relations.cols) if c}
+    gone = {ri for _k, ri in _cancel_units(ring.field, ring.zero_mono, cols)}
+    return [({(r, ring.zero_mono): ring.field.one}, deg)
+            for r, deg in enumerate(M.f0.gens) if r not in gone]
+
+# ------------------------------------------------------------ Schreyer frame
+
+
+def frame_children(leads, j):
+    """Children of the frame element with lead monomial leads[j], where
+    leads lists the lead monomials at one position in decreasing lex
+    order: (q, k) for each minimal monomial q among lcm(leads[j], leads[k])
+    / leads[j] over k > j, with the first such k, q decreasing in lex."""
+    u = leads[j]
+    first = {}
+    for k in range(j + 1, len(leads)):
+        first.setdefault(mono_div(mono_lcm(u, leads[k]), u), k)
+    qs = sorted(first, key=sum)
+    return sorted(((q, first[q]) for i, q in enumerate(qs)
+                   if not any(mono_divides(p, q) for p in qs[:i])),
+                  reverse=True)
+
+
+def _schreyer_order(shifts):
+    """_reduce's heap key for x^a e_i on a frame level: the term_key of x^a
+    times the F_0 monomial shifts[i] under i, then the lower index i."""
+    def key(t):
+        e = mono_mul(t[1], shifts[t[0]])
+        return (-sum(e), e[::-1], t[0])
+    return key
+
+
+def schreyer_frame(M):
+    """Schreyer's free resolution of M over M.f0, with the identity
+    augmentation: not minimal, but each level after the first comes from
+    the leads of the one before (Eisenbud, Commutative Algebra, 15.10).
+
+    F_1 is presentation_gb(M), sorted by position and at each position in
+    decreasing lex order of the leads.  An element s at position p gets
+    one generator of the next level per (q, t) of frame_children over the
+    elements at p: the trace of reducing q f_s - q' f_t to zero, monic
+    with lead q e_s.  Children follow their parent in that order, so each
+    level is sorted alike and misses one more variable in its leads (Cor
+    15.11): the frame ends.  F_k, k >= 1, has the Schreyer order: x^a e_i
+    is compared by x^a times the F_0 monomial under i's chain of leads,
+    then by i's F_0 position and chain of ancestor indices, lower first;
+    in this layout that tie-break is the index i.
+    """
+    ring, field = M.ring, M.ring.field
+    one, zm = field.one, ring.zero_mono
+    gb = presentation_gb(M)
+    level = sorted(zip(gb.leads, gb.elements),
+                   key=lambda lg: (-lg[0][0], lg[0][1]), reverse=True)
+    leads = [lt for lt, _g in level]
+    els = [g for _lt, g in level]
+    shifts = [u for _p, u in leads]
+    terms, diffs, order = [M.f0], [], None
+    while els:
+        terms.append(FreeModule([vec_bidegree(ring, terms[-1].gens, g)
+                                 for g in els]))
+        diffs.append(ModuleMap(ring, terms[-1], terms[-2], els))
+        units = [{(k, zm): one} for k in range(len(els))]
+        at = {}
+        for k, (p, _u) in enumerate(leads):
+            at.setdefault(p, []).append(k)
+        kids, kid_leads = [], []
+        for ks in at.values():
+            us = [leads[k][1] for k in ks]
+            for j, s in enumerate(ks):
+                for q, t in frame_children(us, j):
+                    rem, syz = _spair(field, els, leads, units,
+                                      mono_mul(q, us[j]), s, ks[t], order)
+                    assert not rem, "a frame S-pair must reduce to zero"
+                    kids.append(syz)
+                    kid_leads.append((s, q))
+        order = _schreyer_order(shifts)
+        shifts = [mono_mul(q, shifts[s]) for s, q in kid_leads]
+        els, leads = kids, kid_leads
+    aug = ModuleMap(ring, M.f0, M.f0,
+                    [{(r, zm): one} for r in range(M.f0.rank)])
+    return FreeComplex(ring, terms, diffs, augmentation=aug, module=M)
 
 # ------------------------------------------------------- resolution builder
 
 
 def minimal_free_resolution(M, max_length=None):
-    """Minimal free resolution of the cokernel presentation M.
-
-    Differentials are built one homological degree at a time: kernel
-    generators of the current map, then constant-pivot cancellation before
-    the next step, so no differential ever carries a unit entry.  A pivot
-    of the kernel map pairs a kernel generator with a generator of the
-    current source; both leave the complex, so the current map loses that
-    column.  Exactness and the cokernel are preserved.
-    """
+    """Minimal free resolution of the cokernel presentation M: minimize of
+    its Schreyer frame.  By Cor 15.11 the frame is no longer than the
+    number of variables, the default max_length, so ResolutionTooLong is
+    raised only for a smaller one."""
     ring = M.ring
     if max_length is None:
         max_length = (ring.m + 1) + (ring.n + 1)
-    _survivors, f0, rels, aug = _minimize_presentation(M)
-    terms = [f0]
-    diffs = []
-    pending = rels
-    while pending.source.rank:
-        if len(diffs) + 1 > max_length:
-            raise ResolutionTooLong(
-                "resolution exceeds length %d" % max_length)
-        psi = column_syzygies(ring, pending.target, pending.cols,
-                              list(pending.source.gens))
-        alive, psi = _cancel_map(psi)
-        if not alive:
-            break
-        pending = ModuleMap(ring, psi.target, pending.target,
-                            [dict(pending.cols[r]) for r in alive])
-        diffs.append(pending)
-        terms.append(pending.source)
-        pending = psi
-    return Resolution(ring, terms, diffs, augmentation=aug, minimal=True,
-                      module=M)
+    C = minimize(schreyer_frame(M))
+    if C.length > max_length:
+        raise ResolutionTooLong("resolution exceeds length %d" % max_length)
+    return C
 
 
 def minimize(C):
@@ -270,8 +293,10 @@ def minimize(C):
     # rebuild, reindexing survivors level by level
     order = [sorted(g) for g in gens]
     terms = [FreeModule([g[r] for r in o]) for g, o in zip(gens, order)]
-    diffs = [_submap(ring, maps[lvl], gens[lvl + 1], gens[lvl],
-                     order[lvl + 1], order[lvl]) for lvl in range(len(maps))]
+    row = [{r: i for i, r in enumerate(o)} for o in order]
+    diffs = [ModuleMap(ring, terms[lvl + 1], terms[lvl], [
+        {(row[lvl][r], mono): c for (r, mono), c in cols.get(k, {}).items()}
+        for k in order[lvl + 1]]) for lvl, cols in enumerate(maps)]
     aug = None
     if C.augmentation is not None:
         aug = ModuleMap(ring, terms[0], C.augmentation.target,

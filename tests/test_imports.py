@@ -100,3 +100,22 @@ def test_star_import_binds_every_exported_name():
     assert bigraded.lc_table is lc_table
     with pytest.raises(AttributeError):
         bigraded.no_such_name
+
+
+# PROBE reads its argv with json, so this probe reports without it
+JSON_PROBE = """
+import sys
+import bigraded.cli
+code = bigraded.cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)])
+def test_json_is_imported_only_under_the_json_flag(flags, loaded):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", JSON_PROBE, "betti", PRODUCTS] + flags,
+        env=env, capture_output=True, text=True, timeout=60, cwd=str(ROOT))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 %s" % loaded

@@ -15,7 +15,7 @@ from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y, _frame_top,
                                local_cohomology_dim)
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation)
-from bigraded.resolutions import minimal_free_resolution
+from bigraded.resolutions import minimal_free_resolution, schreyer_frame
 from bigraded.ring import make_ring
 from bigraded.sheaf import kunneth_dim
 from conftest import SATURATION_ROUNDS_DOC, irrelevant_gens
@@ -224,12 +224,18 @@ def test_h0_splits_off_torsion_summand(P11):
             assert graded_piece(H, (a, b))[1] == graded_piece(Q, (a, b))[1]
 
 
-def test_h0_by_saturation_matches_ext_at_the_stable_power(corpus):
+def test_h0_by_saturation_matches_ext_at_the_stable_power(corpus, P11):
     # two routes to H^0: the torsion submodule found by saturation, and
     # Ext^0 against the power family once its transitions are isomorphisms.
-    # The corpus has little torsion; the four-round module has plenty
+    # The corpus has little torsion; the four-round module has plenty, and
+    # R/(x0^2, x1^2, y0^2, y1^2) has finite length, so it is torsion at
+    # every kind, the sum ideal included
+    squares = quotient_presentation(
+        P11, [P11.var(v) ** 2 for v in range(P11.nvars)])
     modules = sorted(corpus.items()) + [
-        ("saturation-rounds", parse_input(SATURATION_ROUNDS_DOC)[1])]
+        ("saturation-rounds", parse_input(SATURATION_ROUNDS_DOC)[1]),
+        ("R/squares", squares)]
+    nonzero = dict.fromkeys(KINDS, 0)
     for name, M in modules:
         for kind in KINDS:
             H = h0_via_saturation(M, kind)
@@ -239,6 +245,8 @@ def test_h0_by_saturation_matches_ext_at_the_stable_power(corpus):
                 assert [ext_graded_dim(M, kind, 0, d, s)[0]
                         for s in (nu, nu + 1)] == [want, want], \
                     (name, kind, d)
+                nonzero[kind] += want != 0
+    assert all(nonzero.values()), nonzero
 
 
 # ---------------------------------------------------------------- invariants
@@ -387,6 +395,8 @@ def test_frame_is_a_resolution_between_minimal_and_taylor(P11, P12, P01,
         ring = M.ring
         levels = schreyer_frame_levels(M)
         assert len(levels) <= ring.nvars + 1, name
+        # the builder and the pruned walk share the oracle's child rule
+        assert [list(t.gens) for t in schreyer_frame(M).terms] == levels, name
         frame = _top([g for level in levels for g in level])
         assert _frame_top(M) == frame, name
         taylor = taylor_top(M)

@@ -1,10 +1,12 @@
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from bigraded.cli import parse_input
 from bigraded.errors import InvalidPower, ResolutionTooLong
 from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
                                presentation_gb)
@@ -17,7 +19,7 @@ from bigraded.regularity import module_betti, strong_regularity_frontier
 from bigraded.resolutions import (FreeComplex, betti_table, homology_dims,
                                   irrelevant_resolution, koszul_complex,
                                   minimal_free_resolution, minimal_generators,
-                                  minimize)
+                                  minimize, schreyer_frame)
 from bigraded.ring import make_ring, mono_mul
 from conftest import build_corpus, irrelevant_gens, monomial_ideal
 
@@ -281,6 +283,102 @@ def test_betti_determinism_under_shuffle(P11):
         got = betti_table(minimal_free_resolution(
             ideal_presentation(P11, scaled)))
         assert got == base
+
+
+# ------------------------------------------------------------ Schreyer frame
+
+
+def test_frame_is_a_resolution(corpus):
+    for name in ["m[P1xP2]", "R/m", "minors2x3", "x0^2(y0,y1)^2"]:
+        M = corpus[name]
+        C = schreyer_frame(M)
+        assert C.composites_vanish(), name
+        assert_windowed_resolution(C, M, square_window(-1, 4))
+
+
+# A rank-3 module on P1xP2 whose resolution never finished when each level
+# was the kernel of the previous level's non-minimal generators: 47 for
+# the 4 relations, then 68, then a third level still running after 60 s.
+# Its Schreyer frame has 45, 114, 111, 45 and 6 elements.
+P1XP2_DOC = """ring field=32003 m=1 n=2
+module: gens=(0,0),(0,1),(1,1)
+  rels: -49*x1*y1*e1 + 24*x0*y0*e1 + 38*e3;
+    -45*x0*x1^2*y1*e1 - 50*x0^2*x1*e2 - 43*x1^3*e2;
+    29*x1^3*y0^2*e1 - 21*x0^2*x1*y2^2*e1 - 44*x0^3*y1*y2*e1;
+    -11*x1*y2*e2 - 16*x0*y0*e2 - 24*y0*e3 - 13*y1*e3;
+    -12*x1*e2 + 64*x0*e2 + 68*e3
+"""
+
+
+def test_p1xp2_module_resolves_from_its_frame():
+    t0 = time.perf_counter()
+    M = parse_input(P1XP2_DOC)[1]
+    C = minimal_free_resolution(M)
+    assert betti_table(C) == {
+        0: [(0, 0), (0, 1)],
+        1: [(1, 1), (1, 2), (3, 1), (3, 2)],
+        2: [(4, 7), (4, 7), (4, 8), (5, 3), (5, 4), (5, 6), (5, 6), (5, 6),
+            (6, 4), (6, 5), (7, 3)],
+        3: [(4, 9)] + [(5, 7)] * 5 + [(5, 8)] * 2 + [(6, 6)] * 6
+           + [(7, 4)] + [(7, 5)] * 2,
+        4: [(5, 9)] * 2 + [(6, 7)] * 4 + [(6, 8)] + [(7, 6)] * 3,
+        5: [(6, 9), (7, 7)],
+    }
+    assert_no_unit_entries(C)
+    assert C.composites_vanish()
+    for a in range(-1, 9):
+        for b in range(-1, 11):
+            chi = sum((-1) ** i * t.piece_dim(M.ring, (a, b))
+                      for i, t in enumerate(C.terms))
+            assert chi == graded_piece(M, (a, b))[1], (a, b)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def random_module(ring, rng, nrels):
+    """Rank 3 on generators (0,0), (0,1), (1,1), with nrels relations of
+    bidegrees (1,1) to (2,2): with probability 3/4, one to three random
+    terms at each generator the bidegree reaches; a relation with no term
+    is drawn again."""
+    gens = [(0, 0), (0, 1), (1, 1)]
+    cols, degs = [], []
+    while len(cols) < nrels:
+        D = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+        col = {}
+        for gi, (a, b) in enumerate(gens):
+            monos = ring.monomials((D[0] - a, D[1] - b))
+            if monos and rng.random() < 0.75:
+                for _ in range(rng.randrange(1, 4)):
+                    col[(gi, rng.choice(monos))] = rng.randrange(1, 32003)
+        if col:
+            cols.append(col)
+            degs.append(D)
+    f0 = FreeModule(gens)
+    return Presentation(ring, f0, ModuleMap(ring, FreeModule(degs), f0, cols))
+
+
+def test_seeded_random_modules_resolve(P11, P12):
+    # every module the seed gives is kept; none is compared with an older
+    # resolution: each is checked to be minimal, a complex, exact on a
+    # window, and its Betti table not to move when the relations are
+    # shuffled and rescaled
+    t0 = time.perf_counter()
+    rng = random.Random(20261019)
+    for ring in (P11, P12):
+        for t in range(6):
+            M = random_module(ring, rng, 3 + t % 2)
+            C = minimal_free_resolution(M)
+            assert_no_unit_entries(C)
+            assert_windowed_resolution(C, M, square_window(-1, 4))
+            order = list(range(M.relations.source.rank))
+            rng.shuffle(order)
+            scales = [rng.randrange(1, 32003) for _ in order]
+            cols = [{k: ring.field.mul(c, v)
+                     for k, v in M.relations.cols[j].items()}
+                    for j, c in zip(order, scales)]
+            src = FreeModule([M.relations.source.gens[j] for j in order])
+            N = Presentation(ring, M.f0, ModuleMap(ring, src, M.f0, cols))
+            assert betti_table(minimal_free_resolution(N)) == betti_table(C)
+    assert time.perf_counter() - t0 < 5.0
 
 
 # ------------------------------------------------------------------ minimize
