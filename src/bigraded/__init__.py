@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": "BigradedError EmptyRing InputError InvalidField InvalidIndex "
               "InvalidPower InvalidRegion InvalidSpace NeedsWindow "
               "NoStabilization NotBihomogeneous ResolutionTooLong "
-              "ZeroPolynomial",
+              "ZeroModule ZeroPolynomial",
     "fields": "QQ PrimeField field_from_spec",
     "groebner": "GroebnerBasis buchberger graded_piece ideal_presentation "
                 "ideal_quotient multiplication_matrix normal_form saturate "

@@ -6,14 +6,14 @@ extended term-over-position with ties broken toward the lower generator
 index.  Everything here is deterministic: S-pairs are processed in
 (lcm degree, lcm, i, j) heap order, and bases come back inter-reduced,
 monic, and sorted by decreasing lead term.  One S-pair loop, with one
-chain criterion and one traced reduction, computes bases and syzygies:
-run on a Groebner basis, the traces of the pairs that reduce to zero
-generate its syzygies (Schreyer).  The reduction also takes another term
-order: the Schreyer frame of resolutions.py reduces under the order it
-induces on each level.  Vanishing on an up-set is decided at the
-region's corners: standard monomials are closed under division, so a
-module nonzero in an up-set is nonzero at one of its minimal points,
-tested at a clamp read off the leads (upset_nonvanishing_witness).
+chain criterion and one traced reduction, gives in one run the basis and
+the kernel of any generators: the traces of the pairs that reduce to
+zero generate their syzygies (Schreyer).  The reduction also takes
+another term order: the Schreyer frame of resolutions.py reduces under
+the order it induces on each level.  Vanishing on an up-set is decided
+at the region's corners: standard monomials are closed under division,
+so a module nonzero in an up-set is nonzero at one of its minimal
+points, tested at a clamp read off the leads (upset_nonvanishing_witness).
 """
 
 import heapq
@@ -146,18 +146,16 @@ def _item(ring, module, vec, expr):
     return vec, expr, _lead(vec)
 
 
-def _pair_loop(ring, module, items, use_chain_criterion=True,
-               zero_traces=True):
-    """Buchberger's S-pair loop, the only one.
+def _pair_loop(ring, module, items, use_chain_criterion=True):
+    """Buchberger's S-pair loop, the only one: one run gives the basis
+    and, when tracking, the kernel of any generators (column_syzygies).
 
     items: (vec, expr, lead) with vec nonzero, lead its lead term and expr
     a vector over input columns (or None when not tracking).  Pairs are
     treated in (lcm degree, lcm, i, j) heap order; a nonzero remainder
     joins the basis, monic, with its trace.  Returns (elements, exprs,
-    leads, columns, bidegrees), the columns being, with zero_traces, the
-    nonzero traces of the pairs that reduce to zero, at their lcm
-    bidegrees.  Run on a Groebner basis, no element joins and these are
-    its Schreyer syzygies (Eisenbud, Commutative Algebra, Thm 15.10); a
+    leads, columns, bidegrees), the columns being the nonzero traces of
+    the pairs that reduce to zero, at their lcm bidegrees.  A
     chain-dropped pair's trace is a combination of its companions'
     (unfolding the justifications terminates, see _chain_redundant), so
     the kept ones still generate.
@@ -190,7 +188,7 @@ def _pair_loop(ring, module, items, use_chain_criterion=True,
         rem, sexpr = _spair(field, G, leads, E, l, i, j)
         if rem:
             add(rem, sexpr, _lead(rem))
-        elif sexpr and zero_traces:
+        elif sexpr:
             la, lb = ring.mono_bidegree(l)
             ga, gb = module.gens[leads[i][0]]
             cols.append(sexpr)
@@ -198,11 +196,9 @@ def _pair_loop(ring, module, items, use_chain_criterion=True,
     return G, E, leads, cols, degs
 
 
-def _interreduce(field, G, E, leads):
+def _interreduce(field, G, leads):
     """Reduced basis from a Groebner basis: a minimal lead set, sorted by
-    decreasing lead term, then tail reduction.  Returns (elements, exprs,
-    leads); each element still satisfies element = sum expr *
-    input-columns."""
+    decreasing lead term, then tail reduction."""
     alive = set(range(len(G)))
     for k in sorted(alive, key=lambda k: term_key(leads[k]), reverse=True):
         gk, uk = leads[k]
@@ -212,17 +208,14 @@ def _interreduce(field, G, E, leads):
 
     order = sorted(alive, key=lambda k: term_key(leads[k]), reverse=True)
     els = [G[k] for k in order]
-    exs = [E[k] for k in order]
     lds = [leads[k] for k in order]
-    out_els, out_exs = [], []
-    for g, ex, t in zip(els, exs, lds):
-        tail = dict(g)
-        tail.pop(t)
-        rtail, ex = _reduce(field, tail, els, lds, exs, ex)
+    out = []
+    for g, t in zip(els, lds):
+        rtail = _reduce(field, {s: c for s, c in g.items() if s != t},
+                        els, lds)[0]
         rtail[t] = field.one
-        out_els.append(rtail)
-        out_exs.append(ex)
-    return out_els, out_exs, lds
+        out.append(rtail)
+    return out
 
 
 class GroebnerBasis:
@@ -251,8 +244,8 @@ class GroebnerBasis:
 def buchberger(ring, module, gens, use_chain_criterion=True):
     """Reduced Groebner basis of the submodule generated by gens."""
     items = [_item(ring, module, g, None) for g in map(_nonzero, gens) if g]
-    G, E, leads = _pair_loop(ring, module, items, use_chain_criterion)[:3]
-    els = _interreduce(ring.field, G, E, leads)[0]
+    G, _, leads = _pair_loop(ring, module, items, use_chain_criterion)[:3]
+    els = _interreduce(ring.field, G, leads)
     return GroebnerBasis(ring, module, els)
 
 
@@ -264,60 +257,37 @@ def normal_form(f, G):
 
 
 def syzygies(G):
-    """Kernel of the evaluation map (free module on G's elements -> ambient).
-
-    The S-pair loop run on G with unit expressions: each column is a kept
-    S-pair's two lcm multipliers minus its division quotients.
-    """
-    ring, els = G.ring, G.elements
-    one, zm = ring.field.one, ring.zero_mono
-    units = [{(k, zm): one} for k in range(len(els))]
-    grown, _, _, cols, degs = _pair_loop(ring, G.module,
-                                         zip(els, units, G.leads))
-    assert len(grown) == len(els), \
-        "S-pair of a Groebner basis must reduce to zero"
-    target = FreeModule([vec_bidegree(ring, G.module.gens, g) for g in els])
-    return ModuleMap(ring, FreeModule(degs), target, cols)
+    """Kernel of the evaluation map on G's elements, a basis or not."""
+    return column_syzygies(G.ring, G.module, G.elements)
 
 
 def column_syzygies(ring, module, cols, col_degs=None):
-    """Kernel generators for the map (free on cols) -> module.
+    """Kernel generators for the map (free on cols) -> module: one unit
+    vector per zero column, and the nonzero traces of the pairs that
+    reduce to zero, at their lcm bidegrees, in one S-pair loop run on the
+    nonzero columns, each traced by its unit vector.  These generate
+    (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10):
 
-    Combines the Schreyer syzygies of the reduced, tracked Groebner basis
-    of the columns (the S-pair loop run again on it) with the membership
-    relations expressing each column through that basis.
+    - a relation among the input columns is a relation among the tracked
+      basis, supported on the inputs;
+    - the basis's relations are generated by its pair syzygies, since
+      each reduction is a standard representation, even against the
+      partial basis of its time;
+    - mapped to input coordinates through each element's trace, a pair
+      that added an element goes to 0, and a pair that reduced to zero
+      goes to its trace.
     """
     one, zm = ring.field.one, ring.zero_mono
     cols = [_nonzero(c) for c in cols]
     if col_degs is None:
         col_degs = [vec_bidegree(ring, module.gens, c) for c in cols]
-    syz_cols, syz_degs = [], []
-    items = []
-    for j, c in enumerate(cols):
-        if c:
-            items.append(_item(ring, module, c, {(j, zm): one}))
-        else:
-            syz_cols.append({(j, zm): one})
-            syz_degs.append(col_degs[j])
-    # this run's zero traces are not used, and holding them costs memory
-    G, E, leads = _pair_loop(ring, module, items, zero_traces=False)[:3]
-    els, exprs, leads = _interreduce(ring.field, G, E, leads)
-    pair_cols, pair_degs = _pair_loop(ring, module,
-                                      zip(els, exprs, leads))[3:]
-    syz_cols += pair_cols
-    syz_degs += pair_degs
-
-    for j, c in enumerate(cols):
-        if not c:
-            continue
-        rem, rx = _reduce(ring.field, c, els, leads, exprs, {(j, zm): one})
-        assert not rem, "a generating column must reduce to zero"
-        if rx:
-            syz_cols.append(rx)
-            syz_degs.append(col_degs[j])
-
-    return ModuleMap(ring, FreeModule(syz_degs), FreeModule(col_degs),
-                     syz_cols)
+    zero = [j for j, c in enumerate(cols) if not c]
+    items = [_item(ring, module, c, {(j, zm): one})
+             for j, c in enumerate(cols) if c]
+    syz_cols, syz_degs = _pair_loop(ring, module, items)[3:]
+    return ModuleMap(ring, FreeModule([col_degs[j] for j in zero] + syz_degs),
+                     FreeModule(col_degs),
+                     [{(j, zm): one} for j in zero] + syz_cols)
 
 # -------------------------------------------------- presentation utilities
 

@@ -57,15 +57,6 @@ def P11q():
     return make_ring(1, 1, field="q")
 
 
-def _x_power_times_y_power(ring, t, s):
-    """The ideal x0^t * (y0, y1)^s in K[x0, y0, y1]."""
-    polys = []
-    for j in range(s + 1):
-        e = (t, s - j, j)
-        polys.append(ring.monomial(e))
-    return ideal_presentation(ring, polys)
-
-
 # A rank-3 module on P1xP1 whose torsion at the irrelevant ideal takes four
 # saturation rounds; the rounds grew to hundreds of generators when each
 # passed on every generator of its quotient instead of a reduced basis.
@@ -96,23 +87,33 @@ def corpus(P11, P12, P01):
     return build_corpus(P11, P12, P01)
 
 
+def corpus_ideals(P11, P12, P01):
+    """name -> (ring, generators) for the ideals of the corpus."""
+    x0, y0, y1 = P11.var(0), P11.var(2), P11.var(3)
+    ideals = {"m[P1xP1]": (P11, irrelevant_gens(P11)),
+              "m[P1xP2]": (P12, irrelevant_gens(P12)),
+              "(x0y0)": (P11, [x0 * y0]),
+              "(x0^2y0y1)": (P11, [x0 * x0 * y0 * y1])}
+    for t in (1, 2, 3):
+        for s in (1, 2, 3):
+            # x0^t * (y0, y1)^s in K[x0, y0, y1]
+            ideals["x0^%d(y0,y1)^%d" % (t, s)] = (
+                P01, [P01.monomial((t, s - j, j)) for j in range(s + 1)])
+    ideals["minors2x3"] = (P11, seeded_minors_polys(P11))
+    return ideals
+
+
 def build_corpus(P11, P12, P01):
-    """The corpus, built afresh on every call."""
-    x0, x1, y0, y1 = (P11.var(i) for i in range(4))
+    """The corpus, built afresh on every call, in CORPUS_NAMES order."""
+    x0, y0 = P11.var(0), P11.var(2)
     mods = {"R": free_presentation(P11, [(0, 0)])}
     for a, b in TWIST_RANGE:
         if (a, b) != (0, 0):
             # R(a,b): the rank-one free module generated in bidegree (-a,-b)
             mods["R(%d,%d)" % (a, b)] = free_presentation(P11, [(-a, -b)])
-    mods["m[P1xP1]"] = ideal_presentation(P11, irrelevant_gens(P11))
-    mods["m[P1xP2]"] = ideal_presentation(P12, irrelevant_gens(P12))
-    mods["(x0y0)"] = ideal_presentation(P11, [x0 * y0])
-    mods["(x0^2y0y1)"] = ideal_presentation(P11, [x0 * x0 * y0 * y1])
+    for name, (ring, polys) in corpus_ideals(P11, P12, P01).items():
+        mods[name] = ideal_presentation(ring, polys)
     mods["R/m"] = quotient_presentation(P11, irrelevant_gens(P11))
     mods["R/(x0y0)"] = quotient_presentation(P11, [x0 * y0])
-    for t in (1, 2, 3):
-        for s in (1, 2, 3):
-            mods["x0^%d(y0,y1)^%d" % (t, s)] = _x_power_times_y_power(P01, t, s)
-    mods["minors2x3"] = seeded_minors(P11)
     assert sorted(mods) == sorted(CORPUS_NAMES)
-    return mods
+    return {name: mods[name] for name in CORPUS_NAMES}

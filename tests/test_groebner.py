@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from bigraded import groebner
-from bigraded.groebner import (_nf_table, _reduce, block_matrix, buchberger,
+from bigraded.groebner import (GroebnerBasis, _nf_table, _reduce,
+                               block_matrix, buchberger,
                                column_syzygies, graded_piece,
                                ideal_presentation,
                                multiplication_matrix, normal_form,
@@ -276,6 +277,14 @@ def test_syzygies_examples(P11):
     assert P11.field.add(col[(0, (0, 1, 0, 0))],
                          col[(1, (1, 0, 0, 0))]) == P11.field.zero
 
+    # generators that are not a Groebner basis: one Koszul relation
+    y0, y1 = P11.var(2), P11.var(3)
+    F0 = FreeModule([(0, 0)])
+    gens = [vec(x0 * y0 + x1 * y1), vec(x0 * y1)]
+    Sn = syzygies(GroebnerBasis(P11, F0, gens))
+    assert Sn.source.gens == ((2, 2),)
+    assert_generates_kernel(Sn, ModuleMap(P11, Sn.target, F0, gens))
+
     Gm = gb_of_polys(P11, irrelevant_gens(P11))
     Sm = syzygies(Gm)
     assert sorted(Sm.source.gens) == [(1, 2), (1, 2), (2, 1), (2, 1)]
@@ -322,7 +331,7 @@ def test_syzygies_generate_the_kernel_on_the_corpus(corpus):
 def random_columns(ring, rng, gens):
     """Three to five random bihomogeneous columns over the free module on
     gens, and at random places a zero column, a repeat of one of them, a
-    scalar multiple of it and a constant column."""
+    scalar multiple of it, a variable times it and a constant column."""
     field = ring.field
     cols, degs = [], []
     for _ in range(rng.randint(3, 5)):
@@ -336,9 +345,14 @@ def random_columns(ring, rng, gens):
         cols.append(col)
         degs.append(d)
     k = rng.randrange(len(cols))
+    v = rng.randrange(ring.nvars)
+    x_v = tuple(int(i == v) for i in range(ring.nvars))
+    dv = ring.mono_bidegree(x_v)
     extras = [({}, (2, 1)), (dict(cols[k]), degs[k]),
               ({t: field.mul(field.of(3), c) for t, c in cols[k].items()},
                degs[k]),
+              (vec_mono_shift(field, cols[k], x_v, field.one),
+               (degs[k][0] + dv[0], degs[k][1] + dv[1])),
               ({(0, ring.zero_mono): field.of(5)}, gens[0])]
     for col, d in extras:
         i = rng.randint(0, len(cols))
@@ -349,13 +363,14 @@ def random_columns(ring, rng, gens):
 
 @pytest.mark.parametrize("spec", [32003, 7, "q"], ids=["GF32003", "GF7", "QQ"])
 def test_syzygies_generate_the_kernel_on_random_columns(spec):
-    ring = make_ring(1, 1, field=spec)
     rng = random.Random(1801)
-    for gens in ([(0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)]):
-        F0 = FreeModule(gens)
-        for _ in range(3):
-            cols, degs = random_columns(ring, rng, gens)
-            assert_syzygies_generate(ring, F0, cols, degs)
+    for n in (1, 2):
+        ring = make_ring(1, n, field=spec)
+        for gens in ([(0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)]):
+            F0 = FreeModule(gens)
+            for _ in range(3):
+                cols, degs = random_columns(ring, rng, gens)
+                assert_syzygies_generate(ring, F0, cols, degs)
 
 
 def test_ideal_presentation_shape(P11):

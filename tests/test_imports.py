@@ -119,3 +119,13 @@ def test_json_is_imported_only_under_the_json_flag(flags, loaded):
         env=env, capture_output=True, text=True, timeout=60, cwd=str(ROOT))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 %s" % loaded
+
+
+def test_every_error_class_is_exported_from_the_package_root():
+    from bigraded import errors
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.BigradedError)]
+    assert len(classes) > 1
+    for cls in classes:
+        assert getattr(bigraded, cls.__name__) is cls
+        assert cls.__name__ in bigraded.__all__

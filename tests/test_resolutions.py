@@ -21,7 +21,9 @@ from bigraded.resolutions import (FreeComplex, betti_table, homology_dims,
                                   minimal_free_resolution, minimal_generators,
                                   minimize, schreyer_frame)
 from bigraded.ring import make_ring, mono_mul
-from conftest import build_corpus, irrelevant_gens, monomial_ideal
+from conftest import (build_corpus, corpus_ideals, irrelevant_gens,
+                      monomial_ideal)
+from helpers import random_sparse_poly
 
 
 def assert_windowed_resolution(C, M, window):
@@ -378,6 +380,28 @@ def test_seeded_random_modules_resolve(P11, P12):
             src = FreeModule([M.relations.source.gens[j] for j in order])
             N = Presentation(ring, M.f0, ModuleMap(ring, src, M.f0, cols))
             assert betti_table(minimal_free_resolution(N)) == betti_table(C)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_ideal_betti_is_its_quotient_betti_shifted(P11, P12, P01):
+    # 0 -> I -> R -> R/I -> 0: level k of I's minimal resolution is level
+    # k + 1 of R/I's; only the ideal's presentation comes from a kernel
+    t0 = time.perf_counter()
+    cases = list(corpus_ideals(P11, P12, P01).values())
+    rng = random.Random(20261019)
+    for ring in (P11, P12):
+        for _ in range(4):
+            polys = [random_sparse_poly(ring, rng, (rng.randint(1, 2),
+                                                    rng.randint(0, 2)),
+                                        nterms=rng.randint(1, 4))
+                     for _ in range(rng.randint(2, 4))]
+            cases.append((ring, [f for f in polys if not f.is_zero()]))
+    for ring, polys in cases:
+        assert polys
+        ideal = module_betti(ideal_presentation(ring, polys))
+        quotient = module_betti(quotient_presentation(ring, polys))
+        assert quotient[0] == [(0, 0)]
+        assert {k - 1: v for k, v in quotient.items() if k} == ideal
     assert time.perf_counter() - t0 < 5.0
 
 
