@@ -2,15 +2,15 @@
 
 Input grammar (line-oriented, ``#`` starts a comment):
 
-    ring field=<q|prime> m=<int> n=<int>
+    ring field=<q|prime> m=<int> n=<int>     (each key once, any order)
     ideal: f1; f2; ...
     module: gens=(a1,b1),(a2,b2),... rels: <mono>*e<k> +- ...; ...
 
 Polynomials use explicit ``*`` for products, ``^`` for powers and integer
 coefficients; variables are named x0..xm and y0..yn.  Relation terms name
 a generator with a 1-based ``e<k>`` factor.  The object declaration may
-continue over several lines.  Coefficients, exponents, bidegrees and
-generator indices are ASCII digits.
+continue over several lines.  Coefficients, exponents, bidegrees,
+generator indices and the ring's m, n and prime are ASCII digits.
 
 Output is aligned ASCII by default and a fixed JSON schema under
 ``--json``.  Exit codes: 0 success / positive verdict, 1 negative
@@ -222,33 +222,38 @@ _BODIES = {"ideal:": _parse_ideal_body, "module:": _parse_module_body}
 
 
 def _parse_ring(ln, decl):
-    """The ring declaration ``decl`` on line ln; returns (ring, ring meta)."""
-    if not decl.startswith("ring"):
+    """The ring declaration ``decl`` on line ln; returns (ring, ring meta).
+    The field checks that a positive integer field is an odd prime."""
+    words = decl.split()
+    if words[:1] != ["ring"]:
         raise InputError("line %d: expected a ring declaration first" % ln)
     fields = {}
-    for piece in decl[4:].split():
-        if "=" not in piece:
+    for piece in words[1:]:
+        k, eq, v = piece.partition("=")
+        if not eq:
             raise InputError("line %d: malformed ring declaration near %r"
                              % (ln, piece))
-        k, _, v = piece.partition("=")
+        if k not in ("field", "m", "n"):
+            raise InputError("line %d: unknown ring key %r" % (ln, k))
+        if k in fields:
+            raise InputError("line %d: ring declaration repeats %s" % (ln, k))
         fields[k] = v
     missing = {"field", "m", "n"} - set(fields)
     if missing:
         raise InputError("line %d: ring declaration is missing %s"
                          % (ln, ", ".join(sorted(missing))))
-    try:
-        m, n = int(fields["m"]), int(fields["n"])
-    except ValueError:
+    if not all(re.fullmatch("-?[0-9]+", fields[k]) for k in ("m", "n")):
         raise InputError("line %d: m and n must be integers" % ln)
+    m, n = int(fields["m"]), int(fields["n"])
     if m < -1 or n < -1:
         raise InputError("line %d: m and n must be at least -1" % ln)
     spec = fields["field"]
-    spec = "q" if spec.lower() in ("q", "qq") else spec
-    if spec != "q":
-        try:
-            spec = int(spec)
-        except ValueError:
-            raise InputError("line %d: field must be 'q' or a prime" % ln)
+    if spec in ("q", "Q", "qq", "QQ"):
+        spec = "q"
+    elif re.fullmatch("0*[1-9][0-9]*", spec):
+        spec = int(spec)
+    else:
+        raise InputError("line %d: field must be 'q' or a prime" % ln)
     return make_ring(m, n, field=spec), {"field": spec, "m": m, "n": n}
 
 

@@ -8,12 +8,13 @@ index.  Everything here is deterministic: S-pairs are processed in
 monic, and sorted by decreasing lead term.  One S-pair loop, with one
 chain criterion and one traced reduction, gives in one run the basis and
 the kernel of any generators: the traces of the pairs that reduce to
-zero generate their syzygies (Schreyer).  The reduction also takes
-another term order: the Schreyer frame of resolutions.py reduces under
-the order it induces on each level.  Vanishing on an up-set is decided
-at the region's corners: standard monomials are closed under division,
-so a module nonzero in an up-set is nonzero at one of its minimal
-points, tested at a clamp read off the leads (upset_nonvanishing_witness).
+zero generate their syzygies (Schreyer).  The reduction knows this one
+term order: the Schreyer frame of resolutions.py writes each level in
+shifted coordinates, where the term order is the Schreyer order.
+Vanishing on an up-set is decided at the region's corners: standard
+monomials are closed under division, so a module nonzero in an up-set is
+nonzero at one of its minimal points, tested at a clamp read off the
+leads (upset_nonvanishing_witness).
 """
 
 import heapq
@@ -31,7 +32,7 @@ from .ring import mono_div, mono_divides, mono_lcm, mono_mul
 
 
 def _lead(vec):
-    return max(vec, key=term_key)
+    return min(vec, key=term_key)
 
 
 def _nonzero(vec):
@@ -40,7 +41,7 @@ def _nonzero(vec):
     return {t: c for t, c in vec.items() if c != 0}
 
 
-def _reduce(field, f, elements, leads, exprs=None, expr=None, order=None):
+def _reduce(field, f, elements, leads, exprs=None, expr=None):
     """Full normal form against monic elements with the given lead terms,
     traced when expr is given.
 
@@ -49,17 +50,14 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None, order=None):
     subtracts c * x^q * elements[k] from f and, when tracing, c * x^q *
     exprs[k] from expr; both are copied once and updated in place.  The
     terms of f wait in a heap, pushed when they enter f; an entry whose
-    term has since cancelled is skipped.  The heap key is order(term), the
-    smallest key for the largest term, or by default the negated term_key,
-    written inline.  Returns (remainder, expr).
+    term has since cancelled is skipped.  The heap key is term_key, of the
+    one term order; a Schreyer order is that order in shifted coordinates
+    (resolutions.schreyer_frame).  Returns (remainder, expr).
     """
     work = dict(f)
     if expr is not None:
         expr = dict(expr)
-    if order is None:
-        heap = [((-sum(e), e[::-1], gi), (gi, e)) for gi, e in work]
-    else:
-        heap = [(order(t), t) for t in work]
+    heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     rem = {}
     entered = []
@@ -77,12 +75,8 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None, order=None):
             continue
         q = mono_div(e, lu)
         vec_sub_shift(field, work, elements[k], q, c, entered)
-        if order is None:
-            for gj, u in entered:
-                heapq.heappush(heap, ((-sum(u), u[::-1], gj), (gj, u)))
-        else:
-            for t in entered:
-                heapq.heappush(heap, (order(t), t))
+        for t in entered:
+            heapq.heappush(heap, (term_key(t), t))
         entered.clear()
         if expr is not None:
             vec_sub_shift(field, expr, exprs[k], q, c)
@@ -118,10 +112,9 @@ def _chain_redundant(leads, done, i, j, l):
     return False
 
 
-def _spair(field, elements, leads, exprs, l, i, j, order=None):
+def _spair(field, elements, leads, exprs, l, i, j):
     """Reduced S-vector of the monic elements i, j with lead lcm l, and
-    its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients),
-    under the term order of _reduce."""
+    its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients)."""
     one = field.one
     qi = mono_div(l, leads[i][1])
     qj = mono_div(l, leads[j][1])
@@ -131,7 +124,7 @@ def _spair(field, elements, leads, exprs, l, i, j, order=None):
     if exprs[i] is not None:
         sx = vec_mono_shift(field, exprs[i], qi, one)
         vec_sub_shift(field, sx, exprs[j], qj, one)
-    return _reduce(field, s, elements, leads, exprs, sx, order)
+    return _reduce(field, s, elements, leads, exprs, sx)
 
 # ------------------------------------------------------------- buchberger
 
@@ -200,13 +193,13 @@ def _interreduce(field, G, leads):
     """Reduced basis from a Groebner basis: a minimal lead set, sorted by
     decreasing lead term, then tail reduction."""
     alive = set(range(len(G)))
-    for k in sorted(alive, key=lambda k: term_key(leads[k]), reverse=True):
+    for k in sorted(alive, key=lambda k: term_key(leads[k])):
         gk, uk = leads[k]
         if any(m != k and leads[m][0] == gk and mono_divides(leads[m][1], uk)
                for m in alive):
             alive.discard(k)
 
-    order = sorted(alive, key=lambda k: term_key(leads[k]), reverse=True)
+    order = sorted(alive, key=lambda k: term_key(leads[k]))
     els = [G[k] for k in order]
     lds = [leads[k] for k in order]
     out = []
@@ -358,7 +351,8 @@ def _nf_table(M, D):
         basis, _ = graded_piece(M, D)
         index = {t: i for i, t in enumerate(basis)}
         table = {}
-        for t in sorted(M.f0.piece_basis(M.ring, D), key=term_key):
+        for t in sorted(M.f0.piece_basis(M.ring, D), key=term_key,
+                        reverse=True):
             i = index.get(t)
             if i is not None:
                 table[t] = (pack((i,)), pack((field.one,)))
@@ -522,10 +516,8 @@ def saturate(M, ideal_gens):
             rel_cols.append(v)
             rel_degs.append(dg)
     f0 = FreeModule(kept_degs)
-    pres = Presentation(ring, f0,
+    return Presentation(ring, f0,
                         ModuleMap(ring, FreeModule(rel_degs), f0, rel_cols))
-    pres._cache["inclusion"] = kept
-    return pres
 
 # ---------------------------------------------------- vanishing on up-sets
 

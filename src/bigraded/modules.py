@@ -15,8 +15,8 @@ from .ring import _accumulate, mono_key, mono_mul
 
 
 def term_key(t):
-    gi, mono = t
-    return (mono_key(mono), -gi)
+    """mono_key, then the generator index: the smallest is the largest term."""
+    return (mono_key(t[1]), t[0])
 
 
 def vec_add(field, u, v):

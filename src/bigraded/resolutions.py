@@ -185,15 +185,6 @@ def frame_children(leads, j):
                   reverse=True)
 
 
-def _schreyer_order(shifts):
-    """_reduce's heap key for x^a e_i on a frame level: the term_key of x^a
-    times the F_0 monomial shifts[i] under i, then the lower index i."""
-    def key(t):
-        e = mono_mul(t[1], shifts[t[0]])
-        return (-sum(e), e[::-1], t[0])
-    return key
-
-
 def schreyer_frame(M):
     """Schreyer's free resolution of M over M.f0, with the identity
     augmentation: not minimal, but each level after the first comes from
@@ -206,9 +197,11 @@ def schreyer_frame(M):
     with lead q e_s.  Children follow their parent in that order, so each
     level is sorted alike and misses one more variable in its leads (Cor
     15.11): the frame ends.  F_k, k >= 1, has the Schreyer order: x^a e_i
-    is compared by x^a times the F_0 monomial under i's chain of leads,
-    then by i's F_0 position and chain of ancestor indices, lower first;
-    in this layout that tie-break is the index i.
+    is compared by x^a shift[i], shift[i] the F_0 monomial of i's chain of
+    leads, then by the lower index i.  Written as x^a shift[i] e_i, a level
+    is reduced under the one term order, which is the Schreyer order there;
+    F_0's shifts are 1, and a level's are the shifted leads of the one
+    before.  The differentials keep the unshifted coordinates.
     """
     ring, field = M.ring, M.ring.field
     one, zm = field.one, ring.zero_mono
@@ -217,12 +210,14 @@ def schreyer_frame(M):
                    key=lambda lg: (-lg[0][0], lg[0][1]), reverse=True)
     leads = [lt for lt, _g in level]
     els = [g for _lt, g in level]
-    shifts = [u for _p, u in leads]
-    terms, diffs, order = [M.f0], [], None
+    shifts = [zm] * M.f0.rank
+    terms, diffs = [M.f0], []
     while els:
         terms.append(FreeModule([vec_bidegree(ring, terms[-1].gens, g)
                                  for g in els]))
         diffs.append(ModuleMap(ring, terms[-1], terms[-2], els))
+        shifted = [{(i, mono_mul(e, shifts[i])): c for (i, e), c in g.items()}
+                   for g in els]
         units = [{(k, zm): one} for k in range(len(els))]
         at = {}
         for k, (p, _u) in enumerate(leads):
@@ -232,13 +227,13 @@ def schreyer_frame(M):
             us = [leads[k][1] for k in ks]
             for j, s in enumerate(ks):
                 for q, t in frame_children(us, j):
-                    rem, syz = _spair(field, els, leads, units,
-                                      mono_mul(q, us[j]), s, ks[t], order)
+                    l = mono_mul(q, us[j])
+                    rem, syz = _spair(field, shifted, leads, units, l, s,
+                                      ks[t])
                     assert not rem, "a frame S-pair must reduce to zero"
                     kids.append(syz)
-                    kid_leads.append((s, q))
-        order = _schreyer_order(shifts)
-        shifts = [mono_mul(q, shifts[s]) for s, q in kid_leads]
+                    kid_leads.append((s, l))
+        shifts = [u for _p, u in leads]
         els, leads = kids, kid_leads
     aug = ModuleMap(ring, M.f0, M.f0,
                     [{(r, zm): one} for r in range(M.f0.rank)])

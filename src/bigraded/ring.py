@@ -6,7 +6,7 @@ is degree-reverse-lex on total degree with x0 > x1 > ... > xm > y0 > ... > yn.
 """
 
 import math
-from operator import add, le, neg, sub
+from operator import add, le, sub
 
 from .errors import EmptyRing, InvalidSpace, NotBihomogeneous, ZeroPolynomial
 from .fields import field_from_spec
@@ -31,9 +31,10 @@ def mono_lcm(a, b):
 
 
 def mono_key(e):
-    # grevlex: higher total degree wins; ties broken by the last variable
-    # in which the exponents differ, smaller exponent there being larger.
-    return (sum(e), tuple(map(neg, reversed(e))))
+    # The one grevlex key, smallest for the largest monomial, as a heap
+    # wants it: higher total degree is larger, and a tie goes to the smaller
+    # exponent in the last variable where the exponents differ.
+    return (-sum(e), e[::-1])
 
 
 def _accumulate(field, terms, items):
@@ -108,9 +109,6 @@ class Ring:
     def __repr__(self):
         return "Ring(m=%d, n=%d, field=%r)" % (self.m, self.n, self.field)
 
-    def var_bidegree(self, v):
-        return (1, 0) if v < self.nx else (0, 1)
-
     def mono_bidegree(self, e):
         return (sum(e[:self.nx]), sum(e[self.nx:]))
 
@@ -156,7 +154,7 @@ class Ring:
             self._cache[key] = () if a < 0 or b < 0 else tuple(sorted(
                 (xe + ye for xe in _compositions(a, self.nx)
                  for ye in _compositions(b, self.ny)),
-                key=mono_key, reverse=True))
+                key=mono_key))
         return list(self._cache[key])
 
 
@@ -229,7 +227,7 @@ class Poly:
             return "0"
         names = self.ring.names
         parts = []
-        for e in sorted(self.terms, key=mono_key, reverse=True):
+        for e in sorted(self.terms, key=mono_key):
             c = self.terms[e]
             factors = ["%s^%d" % (names[v], e[v]) if e[v] > 1 else names[v]
                        for v in range(len(e)) if e[v] > 0]

@@ -10,8 +10,10 @@ the stable-power skip; schreyer_frame_levels and taylor_top, the
 unpruned Schreyer frame and the Taylor bound it replaced, both read off
 the leads of the package's Groebner basis; max_scan_reduce, the division
 that rescans for the largest term on every step instead of keeping a
-heap; min_scan_rank, the sparse rank that scans each row for its lowest
-column on every step instead of keeping a heap; and
+heap, with schreyer_key, the Schreyer order of a frame level compared
+term by term instead of in shifted coordinates; min_scan_rank, the
+sparse rank that scans each row for its lowest column on every step
+instead of keeping a heap; and
 enumerated_multiplication_surjective, the section-multiplication test
 that walks the monomial bases its closed form replaced.
 """
@@ -349,9 +351,20 @@ def taylor_top(M):
 
 
 def _term_key(t):
-    # term-over-position grevlex, as documented in bigraded.modules
+    # term-over-position grevlex, as documented in bigraded.modules; the
+    # largest key is the largest term
     gi, e = t
     return (sum(e), tuple(-c for c in reversed(e)), -gi)
+
+
+def schreyer_key(shifts):
+    """The Schreyer order on a free module whose generator i sits over the
+    monomial shifts[i], as a max key: x^a e_i is compared by the grevlex
+    of x^a * shifts[i], then by the lower index i."""
+    def key(t):
+        gi, e = t
+        return _term_key((gi, tuple(a + b for a, b in zip(e, shifts[gi]))))
+    return key
 
 
 def _vec_sub_shifted(field, u, v, mono, coeff):
@@ -368,16 +381,17 @@ def _vec_sub_shifted(field, u, v, mono, coeff):
 
 
 def max_scan_reduce(field, f, elements, leads, exprs=None, expr=None,
-                    history=None):
+                    history=None, key=_term_key):
     """groebner._reduce as it was before the heap: each step rescans f for
-    its largest term and rebuilds f and expr.  When history is a list,
-    the key set of f is appended to it before every step."""
+    its largest term under key (the largest key is the largest term) and
+    rebuilds f and expr.  When history is a list, the key set of f is
+    appended to it before every step."""
     work = dict(f)
     rem = {}
     while work:
         if history is not None:
             history.append(set(work))
-        t = max(work, key=_term_key)
+        t = max(work, key=key)
         gi, e = t
         c = work[t]
         hit = -1

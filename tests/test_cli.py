@@ -111,6 +111,28 @@ def test_parse_errors_carry_positions():
          "line 2, col 15: expected an integer"),
         ("ring field=32003 m=1 n=1\nideal: x1^2²y1", InputError,
          "line 2, col 12: expected '+', '-', ';' or end of declaration"),
+        # the ring declaration sets field, m and n once each, in ASCII
+        # digits, and field=0 is not the rationals
+        ("ring field=0 m=1 n=1\nideal: x0", InputError,
+         "line 1: field must be 'q' or a prime"),
+        ("# comment\nring field=٣ m=1 n=1\nideal: x0", InputError,
+         "line 2: field must be 'q' or a prime"),
+        ("ring field=rationals m=1 n=1\nideal: x0", InputError,
+         "line 1: field must be 'q' or a prime"),
+        ("ring field=Qq m=1 n=1\nideal: x0", InputError,
+         "line 1: field must be 'q' or a prime"),
+        ("ring field=32003 m=١ n=1\nideal: x0", InputError,
+         "line 1: m and n must be integers"),
+        ("ring field=32003 m=1 n=+1\nideal: x0", InputError,
+         "line 1: m and n must be integers"),
+        ("ring field=32003 m=1 n=1_0\nideal: x0", InputError,
+         "line 1: m and n must be integers"),
+        ("ring field=q m=1 n=1 m=2\nideal: x0", InputError,
+         "line 1: ring declaration repeats m"),
+        ("ring field=q m=1 n=1 foo=3\nideal: x0", InputError,
+         "line 1: unknown ring key 'foo'"),
+        ("ringfield=q m=1 n=1\nideal: x0", InputError,
+         "line 1: expected a ring declaration first"),
     ]
     for text, exc, message in cases:
         with pytest.raises(exc) as info:

@@ -19,14 +19,16 @@ from bigraded.groebner import (GroebnerBasis, _nf_table, _reduce,
 from bigraded.localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
-                              term_key, vec_add, vec_bidegree, vec_from_poly,
+                              vec_add, vec_bidegree, vec_from_poly,
                               vec_mono_shift, vec_sub_shift)
 from bigraded.regions import (reg, reg_double_prime, reg_prime,
                               region_contains)
 from bigraded.resolutions import map_rank_at
-from bigraded.ring import make_ring, mono_div, mono_divides, mono_lcm
+from bigraded.ring import (make_ring, mono_div, mono_divides, mono_lcm,
+                           mono_mul)
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
-from helpers import max_scan_reduce, random_sparse_poly, span_piece_dim
+from helpers import (max_scan_reduce, random_sparse_poly, schreyer_key,
+                     span_piece_dim)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,18 +190,32 @@ def _reentries(history):
                                                        "QQ"])
 def test_heap_reduce_matches_max_scan_oracle(spec):
     # remainder and trace agree with the max-scan division term by term
-    # and in dict order, traced and untraced, on one and two positions;
+    # and in dict order, traced and untraced, on one to three positions;
     # some inputs make a term cancel and later re-enter; the inputs are
-    # left untouched
+    # left untouched.  From case 200 on, each position i carries a random
+    # shift monomial s_i, as on a Schreyer frame level: _reduce on the
+    # shifted copies (x^a e_i written as x^a s_i e_i), shifted back, must
+    # be the max-scan division under the Schreyer order itself, which on
+    # some of these inputs differs from the plain term order
     field = make_ring(1, 1, field=spec).field
     rng = random.Random("reduce-%s" % spec)
-    reentered = 0
-    for case in range(200):
-        rank = 1 + case // 2 % 2
+    reentered = reordered = 0
+    for case in range(400):
+        rank = 1 + case // 2 % 2 + (case >= 200)
+        shifts = [(0,) * 4] * rank
+        if case >= 200:
+            shifts = [tuple(rng.randrange(3) for _ in range(4))
+                      for _ in range(rank)]
+        key = schreyer_key(shifts)
+
+        def shift(v, sign=1):
+            return {(gi, tuple(a + sign * b for a, b in zip(e, shifts[gi]))):
+                    c for (gi, e), c in v.items()}
+
         elements, leads = [], []
         for _ in range(rng.randrange(1, 6)):
             g = _random_vec(rng, field, rng.randrange(1, 10), 1, rank)
-            lt = max(g, key=term_key)
+            lt = max(g, key=key)
             inv = field.inv(g[lt])
             elements.append({t: field.mul(inv, c) for t, c in g.items()})
             leads.append(lt)
@@ -213,14 +229,19 @@ def test_heap_reduce_matches_max_scan_oracle(spec):
         f0, expr0 = dict(f), expr and dict(expr)
         history = []
         want = max_scan_reduce(field, f, elements, leads, exprs, expr,
-                               history)
-        got = _reduce(field, f, elements, leads, exprs, expr)
+                               history, key)
+        rem, trace = _reduce(field, shift(f), [shift(g) for g in elements],
+                             [(gi, mono_mul(u, shifts[gi]))
+                              for gi, u in leads], exprs, expr)
+        got = shift(rem, -1), trace
         assert (f, expr) == (f0, expr0)
         assert [list(v.items()) for v in got if v is not None] == \
             [list(v.items()) for v in want if v is not None], case
         assert (got[1] is None) == (not traced)
         reentered += bool(_reentries(history))
-    assert reentered >= 5
+        reordered += want != max_scan_reduce(field, f, elements, leads,
+                                             exprs, expr)
+    assert reentered >= 5 and reordered >= 20
 
 
 def test_buchberger_spair_postcondition(P11):
