@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "BigradedError EmptyRing InputError InvalidField InvalidIndex "
               "InvalidPower InvalidRegion InvalidSpace NeedsWindow "
-              "NoStabilization NotBihomogeneous ResolutionTooLong "
-              "ZeroModule ZeroPolynomial",
+              "NoStabilization NotBihomogeneous ZeroModule ZeroPolynomial",
     "fields": "QQ PrimeField field_from_spec",
     "groebner": "GroebnerBasis buchberger graded_piece ideal_presentation "
                 "ideal_quotient multiplication_matrix normal_form saturate "
@@ -34,7 +33,7 @@ _EXPORTS = {
                   "multiplication_surjectivity strong_regularity_check "
                   "strong_regularity_frontier vc_window_verify "
                   "weak_regularity_check",
-    "resolutions": "FreeComplex Resolution betti_table homology_dims "
+    "resolutions": "FreeComplex betti_table homology_dims "
                    "irrelevant_resolution koszul_complex "
                    "minimal_free_resolution minimal_generators minimize",
     "ring": "Poly Ring make_ring",

@@ -223,7 +223,9 @@ _BODIES = {"ideal:": _parse_ideal_body, "module:": _parse_module_body}
 
 def _parse_ring(ln, decl):
     """The ring declaration ``decl`` on line ln; returns (ring, ring meta).
-    The field checks that a positive integer field is an odd prime."""
+    What make_ring refuses (a field that is no odd prime below 2^63, a
+    block outside -1..ring.MAX_BLOCK, two empty blocks) is an InputError
+    on line ln."""
     words = decl.split()
     if words[:1] != ["ring"]:
         raise InputError("line %d: expected a ring declaration first" % ln)
@@ -245,8 +247,6 @@ def _parse_ring(ln, decl):
     if not all(re.fullmatch("-?[0-9]+", fields[k]) for k in ("m", "n")):
         raise InputError("line %d: m and n must be integers" % ln)
     m, n = int(fields["m"]), int(fields["n"])
-    if m < -1 or n < -1:
-        raise InputError("line %d: m and n must be at least -1" % ln)
     spec = fields["field"]
     if spec in ("q", "Q", "qq", "QQ"):
         spec = "q"
@@ -254,7 +254,11 @@ def _parse_ring(ln, decl):
         spec = int(spec)
     else:
         raise InputError("line %d: field must be 'q' or a prime" % ln)
-    return make_ring(m, n, field=spec), {"field": spec, "m": m, "n": n}
+    try:
+        ring = make_ring(m, n, field=spec)
+    except BigradedError as exc:
+        raise InputError("line %d: %s" % (ln, exc))
+    return ring, {"field": spec, "m": m, "n": n}
 
 
 def parse_input(text):
@@ -562,8 +566,8 @@ _PAIR = (("--p", _int(required=True)), ("--pp", _int(required=True)))
 _NU_MAX = ("--nu-max", _int(default=8, dest="nu_max"))
 _WINDOW = ("--window", dict(required=True, help="k0:k1,l0:l1"))
 
-# (name, help, reads an input document, handler, options after --json and
-# --seed, in the order --help lists them)
+# (name, help, reads an input document, handler, options after --json, in
+# the order --help lists them)
 _COMMANDS = (
     ("betti", "Betti table of the minimal resolution", True, _cmd_betti, ()),
     ("frontier", "minimal strong-regularity pairs", True, _cmd_frontier, ()),
@@ -602,8 +606,6 @@ def build_parser():
             p.add_argument("file", help="input document ('-' for stdin)")
         p.add_argument("--json", action="store_true",
                        help="emit the JSON schema instead of ASCII")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; no randomized behavior in v1")
         for flag, kw in options:
             p.add_argument(flag, **kw)
         p.set_defaults(func=func, reads_file=reads_file)

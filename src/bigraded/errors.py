@@ -14,7 +14,7 @@ class InvalidSpace(BigradedError, ValueError):
 
 
 class EmptyRing(BigradedError):
-    """Both variable blocks are empty and the trivial ring was not requested."""
+    """Both variable blocks are empty (m = n = -1): the ring has no variables."""
 
 
 class NotBihomogeneous(BigradedError):
@@ -31,10 +31,6 @@ class InvalidRegion(BigradedError):
 
 class NeedsWindow(BigradedError):
     """Enumerating an infinite region requires an explicit window."""
-
-
-class ResolutionTooLong(BigradedError):
-    """Syzygy iteration exceeded the requested maximum length."""
 
 
 class NoStabilization(BigradedError):

@@ -117,16 +117,11 @@ QQ = RationalField()
 
 
 def field_from_spec(spec):
-    """Accepts a field object, 'q'/'Q'/0 for the rationals, or an odd prime."""
+    """Accepts a field object, 'q'/'Q'/'qq'/'QQ' for the rationals, or an
+    int, which must be an odd prime below 2^63."""
     if isinstance(spec, (RationalField, PrimeField)):
         return spec
-    if isinstance(spec, str):
-        if spec.lower() in ("q", "qq", "rational", "rationals"):
-            return QQ
-        if spec.isdigit():
-            return PrimeField(int(spec))
-        raise InvalidField("unrecognized field spec %r" % (spec,))
-    if spec == 0:
+    if spec in ("q", "Q", "qq", "QQ"):
         return QQ
     if isinstance(spec, int):
         return PrimeField(spec)

@@ -261,8 +261,6 @@ def classical_reduction_check(M):
               "matched": None, "note": ""}
     if ring.m >= 1 and ring.n >= 1:
         raise ValueError("both factors are nontrivial; nothing to reduce to")
-    if ring.m == -1 and ring.n == -1:
-        raise ValueError("no live factor to compare against")
 
     frontier = strong_regularity_frontier(M)
     report["frontier"] = frontier

@@ -19,7 +19,7 @@ fix every generator degree (schreyer_frame).
 import itertools
 import weakref
 
-from .errors import InvalidPower, ResolutionTooLong
+from .errors import InvalidPower
 from .linalg import rank_entries
 from .modules import (FreeModule, ModuleMap, free_presentation, vec_bidegree,
                       vec_sub_shift)
@@ -37,14 +37,12 @@ class FreeComplex:
     only the cyclic garbage collector frees.
     """
 
-    def __init__(self, ring, terms, diffs, augmentation=None, minimal=False,
-                 module=None):
+    def __init__(self, ring, terms, diffs, augmentation=None, module=None):
         self.ring = ring
         self.terms = list(terms)
         self.diffs = list(diffs)
         self.augmentation = augmentation
         self._module = None if module is None else weakref.ref(module)
-        self.minimal = minimal
         for i, d in enumerate(self.diffs):
             assert d.target is self.terms[i] or d.target == self.terms[i]
             assert d.source is self.terms[i + 1] or d.source == self.terms[i + 1]
@@ -58,8 +56,7 @@ class FreeComplex:
         return len(self.terms) - 1
 
     def __repr__(self):
-        return "%s(ranks %s)" % (type(self).__name__,
-                                 [t.rank for t in self.terms])
+        return "FreeComplex(ranks %s)" % [t.rank for t in self.terms]
 
     def composites_vanish(self):
         for i in range(len(self.diffs) - 1):
@@ -78,10 +75,6 @@ class FreeComplex:
             if not comp.is_zero():
                 return False
         return True
-
-
-class Resolution(FreeComplex):
-    pass
 
 
 def betti_table(C):
@@ -242,18 +235,11 @@ def schreyer_frame(M):
 # ------------------------------------------------------- resolution builder
 
 
-def minimal_free_resolution(M, max_length=None):
+def minimal_free_resolution(M):
     """Minimal free resolution of the cokernel presentation M: minimize of
-    its Schreyer frame.  By Cor 15.11 the frame is no longer than the
-    number of variables, the default max_length, so ResolutionTooLong is
-    raised only for a smaller one."""
-    ring = M.ring
-    if max_length is None:
-        max_length = (ring.m + 1) + (ring.n + 1)
-    C = minimize(schreyer_frame(M))
-    if C.length > max_length:
-        raise ResolutionTooLong("resolution exceeds length %d" % max_length)
-    return C
+    its Schreyer frame, so no longer than the number of variables
+    (Eisenbud, Commutative Algebra, Cor 15.11)."""
+    return minimize(schreyer_frame(M))
 
 
 def minimize(C):
@@ -300,8 +286,7 @@ def minimize(C):
     while len(terms) > 1 and terms[-1].rank == 0:
         terms.pop()
         diffs.pop()
-    return Resolution(ring, terms, diffs, augmentation=aug, minimal=True,
-                      module=C.module)
+    return FreeComplex(ring, terms, diffs, augmentation=aug, module=C.module)
 
 # ---------------------------------------------------------- power complexes
 

@@ -83,17 +83,17 @@ MAX_BLOCK = 32  # the largest m or n of a ring: P^32 x P^32
 class Ring:
     """Context object: variable counts, coefficient field, monomial helpers.
 
-    m and n lie in -1..MAX_BLOCK, so a ring has at most 66 variables."""
+    m and n lie in -1..MAX_BLOCK and are not both -1, so a ring has 1 to
+    66 variables."""
 
-    def __init__(self, m, n, field, allow_trivial=False):
+    def __init__(self, m, n, field):
         if m < -1 or n < -1:
-            raise InvalidSpace("m and n must be integers >= -1")
+            raise InvalidSpace("m and n must be at least -1")
         if m > MAX_BLOCK or n > MAX_BLOCK:
             raise InvalidSpace("m and n must be at most %d, got m=%d, n=%d"
                                % (MAX_BLOCK, m, n))
-        if m == -1 and n == -1 and not allow_trivial:
-            raise EmptyRing("both variable blocks empty; pass allow_trivial=True "
-                            "to build the constants-only ring")
+        if m == -1 and n == -1:
+            raise EmptyRing("both variable blocks empty")
         self.m = m
         self.n = n
         self.field = field
@@ -158,9 +158,9 @@ class Ring:
         return list(self._cache[key])
 
 
-def make_ring(m, n, field=32003, allow_trivial=False):
+def make_ring(m, n, field=32003):
     """Ring context with m+1 x-variables and n+1 y-variables over the given field."""
-    return Ring(m, n, field_from_spec(field), allow_trivial=allow_trivial)
+    return Ring(m, n, field_from_spec(field))
 
 
 class Poly:
@@ -246,8 +246,3 @@ class Poly:
         return out
 
     __repr__ = __str__
-
-
-def bidegree_of(p):
-    """Bidegree of a bihomogeneous polynomial (errors on zero or mixed input)."""
-    return p.bidegree()

@@ -373,14 +373,9 @@ def test_default_output_is_deterministic(doc, capsys):
 
 def test_merge_negative_values_unit():
     argv = ["region", "--kind", "St", "--window", "-4:1,-4:1",
-            "--seed", "-3"]
+            "--i", "-3"]
     assert _merge_negative_values(argv) == [
-        "region", "--kind", "St", "--window=-4:1,-4:1", "--seed", "-3"]
-
-
-def test_seed_flag_accepted(doc, capsys):
-    rc, _ = run(capsys, ["betti", doc(M_DOC), "--seed", "7"])
-    assert rc == 0
+        "region", "--kind", "St", "--window=-4:1,-4:1", "--i", "-3"]
 
 
 def test_reads_stdin(monkeypatch, capsys):
@@ -525,7 +520,8 @@ ZERO_DOC = "ring field=32003 m=1 n=1\nmodule: gens=(0,0) rels: e1\n"
 # 2^64 - 59 is prime; 2^63 - 25 is the largest prime below 2^63
 BIG_FIELD_DOC = ("ring field=%d m=1 n=1\nideal: x0*y0+3*x1*y1; x0*y1\n"
                  % (2 ** 64 - 59))
-BIG_FIELD = "modulus must be an odd prime below 2^63, got %d" % (2 ** 64 - 59)
+BIG_FIELD = ("line 1: modulus must be an odd prime below 2^63, got %d"
+             % (2 ** 64 - 59))
 LC_CORNER = ["--ideal", "irr", "--i", "2", "--window", "-2:-2,0:0"]
 SHEAF = ["sheaf", "--a", "0", "--b", "0", "--window", "0:1,0:1"]
 LC_CELL = ["lc", R_DOC, "--ideal", "irr", "--i", "2", "--window", "0:0,0:0"]
@@ -546,10 +542,13 @@ LC_CELL = ["lc", R_DOC, "--ideal", "irr", "--i", "2", "--window", "0:0,0:0"]
     (["lc", BIG_FIELD_DOC] + LC_CORNER, BIG_FIELD),
     (["verify", BIG_FIELD_DOC], BIG_FIELD),
     (["betti", "ring field=32003 m=33 n=1\nideal: y0\n"],
-     "m and n must be at most 32, got m=33, n=1"),
+     "line 1: m and n must be at most 32, got m=33, n=1"),
+    (["betti", "ring field=q m=-1 n=-1\nideal: 1\n"],
+     "line 1: both variable blocks empty"),
 ], ids=["frontier-zero", "verify-zero", "ring-m", "sheaf-m", "sheaf-n",
         "lc-nu-zero", "lc-nu-negative", "reg-weak-nu-zero", "verify-nu-zero",
-        "lc-big-field", "verify-big-field", "ring-m-above-limit"])
+        "lc-big-field", "verify-big-field", "ring-m-above-limit",
+        "ring-both-blocks-empty"])
 def test_bad_inputs_exit_three_with_message(doc, capsys, argv, message):
     argv = [doc(a) if a.startswith("ring") else a for a in argv]
     assert main(argv) == 3
@@ -594,7 +593,7 @@ def test_huge_ring_is_refused_at_once(doc):
     path = doc("ring field=32003 m=100000000 n=1\nideal: x0*y0; x1*y1\n")
     out = run_child(["betti", path])
     assert out.returncode == 3
-    assert out.stderr == ("error: m and n must be at most 32, "
+    assert out.stderr == ("error: line 1: m and n must be at most 32, "
                           "got m=100000000, n=1\n")
 
 

@@ -293,6 +293,3 @@ def test_classical_reduction_collapse_to_zero(P01):
 def test_classical_reduction_errors(P11):
     with pytest.raises(ValueError):
         classical_reduction_check(free_presentation(P11, [(0, 0)]))
-    empty = make_ring(-1, -1, allow_trivial=True)
-    with pytest.raises(ValueError):
-        classical_reduction_check(free_presentation(empty, [(0, 0)]))

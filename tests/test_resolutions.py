@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bigraded.cli import parse_input
-from bigraded.errors import InvalidPower, ResolutionTooLong
+from bigraded.errors import InvalidPower
 from bigraded.groebner import (buchberger, graded_piece, ideal_presentation,
                                presentation_gb)
 from bigraded.localcoh import (KINDS, _label_mono, _power_complex,
@@ -177,7 +177,7 @@ def test_resolution_of_free(P11):
     C = minimal_free_resolution(R)
     assert C.length == 0
     assert betti_table(C) == {0: [(0, 0)]}
-    assert C.minimal
+    assert_no_unit_entries(C)
 
 
 def test_resolution_of_irrelevant_ideal(P11):
@@ -188,7 +188,7 @@ def test_resolution_of_irrelevant_ideal(P11):
         1: [(1, 2), (1, 2), (2, 1), (2, 1)],
         2: [(2, 2)],
     }
-    assert C.minimal
+    assert_no_unit_entries(C)
     assert_windowed_resolution(C, M, square_window(-1, 4))
 
 
@@ -203,9 +203,6 @@ def test_resolution_of_twisted_koszul(P01):
 
 def test_resolution_too_long(P11):
     M = quotient_presentation(P11, irrelevant_gens(P11))
-    with pytest.raises(ResolutionTooLong):
-        minimal_free_resolution(M, 1)
-    # the default bound (number of variables) always suffices
     C = minimal_free_resolution(M)
     assert betti_table(C) == {
         0: [(0, 0)],
