@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "BigradedError EmptyRing InputError InvalidField InvalidIndex "
               "InvalidPower InvalidRegion InvalidSpace NeedsWindow "
-              "NoStabilization NotBihomogeneous ZeroModule ZeroPolynomial",
+              "NoStabilization NotBihomogeneous PieceTooLarge ZeroModule "
+              "ZeroPolynomial",
     "fields": "QQ PrimeField field_from_spec",
     "groebner": "GroebnerBasis buchberger graded_piece ideal_presentation "
                 "ideal_quotient multiplication_matrix normal_form saturate "

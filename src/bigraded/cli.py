@@ -486,16 +486,16 @@ def _cmd_mult(args, M):
 
 def _cmd_verify(args, M):
     from .groebner import graded_piece
-    from .regularity import module_betti, multiplication_surjectivity, \
+    from .regularity import multiplication_surjectivity, \
         strong_regularity_check, strong_regularity_frontier, \
         weak_regularity_check
+    from .resolutions import minimal_free_resolution
     checks = []
 
     def record(name, status, detail=""):
         checks.append({"name": name, "status": status, "detail": detail})
 
-    module_betti(M)
-    C = M._cache["min_res"]
+    C = minimal_free_resolution(M)
     record("resolution-composites-vanish",
            "ok" if C.composites_vanish() else "FAIL")
 

@@ -5,6 +5,10 @@ class BigradedError(Exception):
     """Base class for package-specific errors."""
 
 
+class PieceTooLarge(BigradedError):
+    """A bidegree of the ring holds more than ring.MAX_PIECE monomials."""
+
+
 class InvalidField(BigradedError):
     """Field spec is neither the rationals nor an odd prime below 2^63."""
 

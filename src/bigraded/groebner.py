@@ -41,9 +41,18 @@ def _nonzero(vec):
     return {t: c for t, c in vec.items() if c != 0}
 
 
-def _reduce(field, f, elements, leads, exprs=None, expr=None):
-    """Full normal form against monic elements with the given lead terms,
-    traced when expr is given.
+def _by_position(leads):
+    """The one index of a lead set, position -> [(k, lead monomial)] with
+    k ascending: a lead acts on a term only at the term's position."""
+    at = {}
+    for k, (p, u) in enumerate(leads):
+        at.setdefault(p, []).append((k, u))
+    return at
+
+
+def _reduce(field, f, elements, at, exprs=None, expr=None):
+    """Full normal form against monic elements with the lead index at
+    (_by_position), traced when expr is given.
 
     No monomial of the remainder is divisible by any lead.  Each step
     takes the largest term t of f, and for the first lead that divides it
@@ -66,14 +75,13 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None):
         c = work.get(t)
         if c is None:
             continue
-        gi, e = t
-        for k, (lgi, lu) in enumerate(leads):
-            if lgi == gi and mono_divides(lu, e):
+        for k, lu in at.get(t[0], ()):
+            if mono_divides(lu, t[1]):
                 break
         else:
             rem[t] = work.pop(t)
             continue
-        q = mono_div(e, lu)
+        q = mono_div(t[1], lu)
         vec_sub_shift(field, work, elements[k], q, c, entered)
         for t in entered:
             heapq.heappush(heap, (term_key(t), t))
@@ -85,34 +93,23 @@ def _reduce(field, f, elements, leads, exprs=None, expr=None):
 # ---------------------------------------------------------------- S-pairs
 
 
-def _new_pairs(leads, j):
-    """Heap entries (lcm degree, lcm, i, j) pairing lead j with every
-    earlier lead at the same position."""
-    gj, uj = leads[j]
-    for i in range(j):
-        gi, ui = leads[i]
-        if gi == gj:
-            l = mono_lcm(ui, uj)
-            yield sum(l), l, i, j
-
-
-def _chain_redundant(leads, done, i, j, l):
-    """Chain criterion for the pair (i, j) with lcm l.
+def _chain_redundant(same, done, i, j, l):
+    """Chain criterion for the pair (i, j) with lcm l; same lists the
+    leads at their position.
 
     The pair may be dropped when a third lead at the same position divides
     l and both companion pairs were already treated: treatment times are
     strictly earlier, so the justifications cannot cycle.
     """
-    g = leads[i][0]
-    for k, (gk, uk) in enumerate(leads):
-        if (k != i and k != j and gk == g and mono_divides(uk, l) and
+    for k, uk in same:
+        if (k != i and k != j and mono_divides(uk, l) and
                 (min(i, k), max(i, k)) in done and
                 (min(j, k), max(j, k)) in done):
             return True
     return False
 
 
-def _spair(field, elements, leads, exprs, l, i, j):
+def _spair(field, elements, leads, at, exprs, l, i, j):
     """Reduced S-vector of the monic elements i, j with lead lcm l, and
     its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients)."""
     one = field.one
@@ -124,7 +121,7 @@ def _spair(field, elements, leads, exprs, l, i, j):
     if exprs[i] is not None:
         sx = vec_mono_shift(field, exprs[i], qi, one)
         vec_sub_shift(field, sx, exprs[j], qj, one)
-    return _reduce(field, s, elements, leads, exprs, sx)
+    return _reduce(field, s, elements, at, exprs, sx)
 
 # ------------------------------------------------------------- buchberger
 
@@ -147,14 +144,14 @@ def _pair_loop(ring, module, items, use_chain_criterion=True):
     a vector over input columns (or None when not tracking).  Pairs are
     treated in (lcm degree, lcm, i, j) heap order; a nonzero remainder
     joins the basis, monic, with its trace.  Returns (elements, exprs,
-    leads, columns, bidegrees), the columns being the nonzero traces of
-    the pairs that reduce to zero, at their lcm bidegrees.  A
+    leads, their index, columns, bidegrees), the columns being the nonzero
+    traces of the pairs that reduce to zero, at their lcm bidegrees.  A
     chain-dropped pair's trace is a combination of its companions'
     (unfolding the justifications terminates, see _chain_redundant), so
     the kept ones still generate.
     """
     field = ring.field
-    G, E, leads = [], [], []
+    G, E, leads, at = [], [], [], {}
     cols, degs = [], []
     heap, done = [], set()
 
@@ -165,20 +162,24 @@ def _pair_loop(ring, module, items, use_chain_criterion=True):
             vec = vec_scale(field, ci, vec)
             if expr is not None:
                 expr = vec_scale(field, ci, expr)
+        same = at.setdefault(lt[0], [])
+        for i, ui in same:
+            l = mono_lcm(ui, lt[1])
+            heapq.heappush(heap, (sum(l), l, i, len(G)))
+        same.append((len(G), lt[1]))
         G.append(vec)
         E.append(expr)
         leads.append(lt)
-        for pair in _new_pairs(leads, len(G) - 1):
-            heapq.heappush(heap, pair)
 
     for item in items:
         add(*item)
     while heap:
         _deg, l, i, j = heapq.heappop(heap)
         done.add((i, j))
-        if use_chain_criterion and _chain_redundant(leads, done, i, j, l):
+        if use_chain_criterion and _chain_redundant(at[leads[i][0]], done,
+                                                    i, j, l):
             continue
-        rem, sexpr = _spair(field, G, leads, E, l, i, j)
+        rem, sexpr = _spair(field, G, leads, at, E, l, i, j)
         if rem:
             add(rem, sexpr, _lead(rem))
         elif sexpr:
@@ -186,26 +187,27 @@ def _pair_loop(ring, module, items, use_chain_criterion=True):
             ga, gb = module.gens[leads[i][0]]
             cols.append(sexpr)
             degs.append((la + ga, lb + gb))
-    return G, E, leads, cols, degs
+    return G, E, leads, at, cols, degs
 
 
-def _interreduce(field, G, leads):
-    """Reduced basis from a Groebner basis: a minimal lead set, sorted by
-    decreasing lead term, then tail reduction."""
+def _interreduce(field, G, leads, at):
+    """Reduced basis from a Groebner basis and its lead index: a minimal
+    lead set, sorted by decreasing lead term, then tail reduction."""
     alive = set(range(len(G)))
     for k in sorted(alive, key=lambda k: term_key(leads[k])):
         gk, uk = leads[k]
-        if any(m != k and leads[m][0] == gk and mono_divides(leads[m][1], uk)
-               for m in alive):
+        if any(m != k and m in alive and mono_divides(um, uk)
+               for m, um in at[gk]):
             alive.discard(k)
 
     order = sorted(alive, key=lambda k: term_key(leads[k]))
     els = [G[k] for k in order]
     lds = [leads[k] for k in order]
+    at = _by_position(lds)
     out = []
     for g, t in zip(els, lds):
         rtail = _reduce(field, {s: c for s, c in g.items() if s != t},
-                        els, lds)[0]
+                        els, at)[0]
         rtail[t] = field.one
         out.append(rtail)
     return out
@@ -213,7 +215,8 @@ def _interreduce(field, G, leads):
 
 class GroebnerBasis:
     """Elements are stored monic, without zero coefficients, and their
-    lead terms are computed once: normal_form divides by monic leads."""
+    lead terms and lead index at are computed once: normal_form divides
+    by monic leads."""
 
     def __init__(self, ring, module, elements):
         self.ring = ring
@@ -226,6 +229,7 @@ class GroebnerBasis:
                 g = vec_scale(ring.field, ring.field.inv(g[lt]), g)
             self.elements.append(g)
             self.leads.append(lt)
+        self.at = _by_position(self.leads)
 
     def __repr__(self):
         return "GroebnerBasis(%d elements)" % len(self.elements)
@@ -237,14 +241,14 @@ class GroebnerBasis:
 def buchberger(ring, module, gens, use_chain_criterion=True):
     """Reduced Groebner basis of the submodule generated by gens."""
     items = [_item(ring, module, g, None) for g in map(_nonzero, gens) if g]
-    G, _, leads = _pair_loop(ring, module, items, use_chain_criterion)[:3]
-    els = _interreduce(ring.field, G, leads)
+    G, _, leads, at = _pair_loop(ring, module, items, use_chain_criterion)[:4]
+    els = _interreduce(ring.field, G, leads, at)
     return GroebnerBasis(ring, module, els)
 
 
 def normal_form(f, G):
     """Remainder of f on division by G; no monomial divisible by a lead."""
-    return _reduce(G.ring.field, _nonzero(f), G.elements, G.leads)[0]
+    return _reduce(G.ring.field, _nonzero(f), G.elements, G.at)[0]
 
 # --------------------------------------------------------------- syzygies
 
@@ -277,7 +281,7 @@ def column_syzygies(ring, module, cols, col_degs=None):
     zero = [j for j, c in enumerate(cols) if not c]
     items = [_item(ring, module, c, {(j, zm): one})
              for j, c in enumerate(cols) if c]
-    syz_cols, syz_degs = _pair_loop(ring, module, items)[3:]
+    syz_cols, syz_degs = _pair_loop(ring, module, items)[4:]
     return ModuleMap(ring, FreeModule([col_degs[j] for j in zero] + syz_degs),
                      FreeModule(col_degs),
                      [{(j, zm): one} for j in zero] + syz_cols)
@@ -304,28 +308,14 @@ def presentation_gb(M):
     return M._cache["gb"]
 
 
-def _leads_at(M):
-    """The reduced basis of M grouped by generator: gen -> list of (lead
-    monomial, tail terms), in basis order."""
-    if "leads_at" not in M._cache:
-        gb = presentation_gb(M)
-        by_gen = {}
-        for g, lt in zip(gb.elements, gb.leads):
-            by_gen.setdefault(lt[0], []).append(
-                (lt[1], [(t, c) for t, c in g.items() if t != lt]))
-        M._cache["leads_at"] = by_gen
-    return M._cache["leads_at"]
-
-
 def graded_piece(M, d):
     """Standard-monomial basis of M at bidegree d, and its dimension."""
     d = (int(d[0]), int(d[1]))
     key = ("piece", d)
     if key not in M._cache:
-        by_gen = _leads_at(M)
+        at = presentation_gb(M).at
         basis = [(gi, e) for gi, e in M.f0.piece_basis(M.ring, d)
-                 if not any(mono_divides(lu, e)
-                            for lu, _tail in by_gen.get(gi, ()))]
+                 if not any(mono_divides(lu, e) for _k, lu in at.get(gi, ()))]
         M._cache[key] = basis
     basis = M._cache[key]
     return basis, len(basis)
@@ -347,7 +337,7 @@ def _nf_table(M, D):
         field = M.ring.field
         p = field.char
         pack = partial(array, "q") if p else tuple
-        by_gen = _leads_at(M)
+        gb = presentation_gb(M)
         basis, _ = graded_piece(M, D)
         index = {t: i for i, t in enumerate(basis)}
         table = {}
@@ -358,10 +348,12 @@ def _nf_table(M, D):
                 table[t] = (pack((i,)), pack((field.one,)))
                 continue
             gi, e = t
-            lu, tail = next(lt for lt in by_gen[gi] if mono_divides(lt[0], e))
+            k, lu = next(kl for kl in gb.at[gi] if mono_divides(kl[1], e))
             q = mono_div(e, lu)
             acc = {}
-            for (gj, u), c in tail:
+            for (gj, u), c in gb.elements[k].items():
+                if gj == gi and u == lu:
+                    continue
                 idx, co = table[(gj, mono_mul(u, q))]
                 for r, v in zip(idx, co):
                     acc[r] = acc.get(r, 0) - c * v
@@ -541,9 +533,9 @@ def upset_nonvanishing_witness(M, region):
     """
     A, B, C = upset_bounds(region)
     nv, nx = M.ring.nvars, M.ring.nx
-    by_gen = _leads_at(M)
+    at = presentation_gb(M).at
     for g, (gx, gy) in enumerate(M.f0.gens):
-        spare = [max([0] + [lu[v] - 1 for lu, _tail in by_gen.get(g, ())])
+        spare = [max([0] + [lu[v] - 1 for _k, lu in at.get(g, ())])
                  for v in range(nv)]
         ex, ey = gx + 1 + sum(spare[:nx]), gy + 1 + sum(spare[nx:])
         a0, b0 = max(A, gx), max(B, gy)

@@ -206,9 +206,8 @@ def _frame_top(M):
                 top[:] = map(max, top, deg)
                 walk(deg, [q for q, _k in frame_children(leads, j)])
 
-        leads = presentation_gb(M).leads
-        for k, g in enumerate(M.f0.gens):
-            walk(g, sorted((u for j, u in leads if j == k), reverse=True))
+        for k, same in presentation_gb(M).at.items():
+            walk(M.f0.gens[k], sorted((u for _j, u in same), reverse=True))
         M._cache["lc_frame_top"] = tuple(top)
     return M._cache["lc_frame_top"]
 

@@ -78,15 +78,10 @@ def region_contains(R, k, kp):
         if i > 0:
             return r + s == -i - 1 and r < 0 and s < 0
         return r + s == -i and r >= 0 and s >= 0
-    if R.kind == REG:
-        return (k >= p - i and kp >= pp - i and k + kp >= p + pp - i - 1)
-    if R.kind == REG_PRIME:
-        return k >= p + 1 and kp >= pp
-    if R.kind == REG_DOUBLE_PRIME:
-        return k >= p and kp >= pp + 1
     if R.kind == DREG:
         return (k <= p + i and kp <= pp + i and k + kp <= p + pp + i)
-    raise InvalidRegion(R.kind)
+    A, B, C = upset_bounds(R)
+    return k >= A and kp >= B and (C is None or k + kp >= C)
 
 
 def upset_bounds(R):

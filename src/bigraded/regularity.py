@@ -41,9 +41,7 @@ def module_betti(M):
     """Betti table {homological degree: sorted generator bidegrees} of the
     minimal free resolution, cached on the presentation."""
     if "betti" not in M._cache:
-        C = minimal_free_resolution(M)
-        M._cache["min_res"] = C
-        M._cache["betti"] = betti_table(C)
+        M._cache["betti"] = betti_table(minimal_free_resolution(M))
     return M._cache["betti"]
 
 

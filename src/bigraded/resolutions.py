@@ -23,7 +23,7 @@ from .errors import InvalidPower
 from .linalg import rank_entries
 from .modules import (FreeModule, ModuleMap, free_presentation, vec_bidegree,
                       vec_sub_shift)
-from .groebner import _spair, block_matrix, presentation_gb
+from .groebner import _by_position, _spair, block_matrix, presentation_gb
 from .ring import mono_div, mono_divides, mono_lcm, mono_mul
 
 # ---------------------------------------------------------------- complexes
@@ -212,17 +212,15 @@ def schreyer_frame(M):
         shifted = [{(i, mono_mul(e, shifts[i])): c for (i, e), c in g.items()}
                    for g in els]
         units = [{(k, zm): one} for k in range(len(els))]
-        at = {}
-        for k, (p, _u) in enumerate(leads):
-            at.setdefault(p, []).append(k)
+        at = _by_position(leads)
         kids, kid_leads = [], []
-        for ks in at.values():
-            us = [leads[k][1] for k in ks]
-            for j, s in enumerate(ks):
+        for same in at.values():
+            us = [u for _k, u in same]
+            for j, (s, u) in enumerate(same):
                 for q, t in frame_children(us, j):
-                    l = mono_mul(q, us[j])
-                    rem, syz = _spair(field, shifted, leads, units, l, s,
-                                      ks[t])
+                    l = mono_mul(q, u)
+                    rem, syz = _spair(field, shifted, leads, at, units, l, s,
+                                      same[t][0])
                     assert not rem, "a frame S-pair must reduce to zero"
                     kids.append(syz)
                     kid_leads.append((s, l))
@@ -238,8 +236,11 @@ def schreyer_frame(M):
 def minimal_free_resolution(M):
     """Minimal free resolution of the cokernel presentation M: minimize of
     its Schreyer frame, so no longer than the number of variables
-    (Eisenbud, Commutative Algebra, Cor 15.11)."""
-    return minimize(schreyer_frame(M))
+    (Eisenbud, Commutative Algebra, Cor 15.11).  Cached on M, which the
+    complex holds weakly (FreeComplex)."""
+    if "resolution" not in M._cache:
+        M._cache["resolution"] = minimize(schreyer_frame(M))
+    return M._cache["resolution"]
 
 
 def minimize(C):

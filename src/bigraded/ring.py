@@ -8,7 +8,8 @@ is degree-reverse-lex on total degree with x0 > x1 > ... > xm > y0 > ... > yn.
 import math
 from operator import add, le, sub
 
-from .errors import EmptyRing, InvalidSpace, NotBihomogeneous, ZeroPolynomial
+from .errors import (EmptyRing, InvalidSpace, NotBihomogeneous, PieceTooLarge,
+                     ZeroPolynomial)
 from .fields import field_from_spec
 
 
@@ -78,6 +79,7 @@ def top_dim(m, k):
 
 
 MAX_BLOCK = 32  # the largest m or n of a ring: P^32 x P^32
+MAX_PIECE = 100_000  # the most monomials Ring.monomials lists in one bidegree
 
 
 class Ring:
@@ -146,10 +148,16 @@ class Ring:
         """Exponent tuples of bidegree d, sorted decreasing in the term order.
 
         Enumerated and sorted once per bidegree; each call returns a new
-        list, which the caller may mutate."""
+        list, which the caller may mutate.  Raises PieceTooLarge above
+        MAX_PIECE monomials."""
         a, b = d
         key = ("monomials", a, b)
         if key not in self._cache:
+            size = self.piece_dim(a, b)
+            if size > MAX_PIECE:
+                raise PieceTooLarge("bidegree (%d,%d) of the ring holds %d "
+                                    "monomials, more than %d"
+                                    % (a, b, size, MAX_PIECE))
             # an empty block has only the exponent () of degree 0
             self._cache[key] = () if a < 0 or b < 0 else tuple(sorted(
                 (xe + ye for xe in _compositions(a, self.nx)

@@ -13,6 +13,7 @@ from bigraded.cli import (MAX_WINDOW_CELLS, _merge_negative_values,
                           _parse_window, main, parse_input)
 from bigraded.errors import BigradedError, InputError, NotBihomogeneous
 from bigraded.regularity import module_betti
+from bigraded.ring import MAX_PIECE
 from conftest import SATURATION_ROUNDS_DOC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -610,6 +611,25 @@ def test_huge_window_is_refused_at_once(argv):
     assert out.returncode == 3
     assert out.stderr == ("error: window holds more than %d bidegrees\n"
                           % MAX_WINDOW_CELLS)
+
+
+PRODUCTS = str(Path(__file__).resolve().parents[1] / "demos" / "inputs"
+               / "products_ideal.txt")
+
+
+@pytest.mark.parametrize("argv,piece", [
+    (["mult", PRODUCTS, "--from", "400,400", "--step", "1,1"],
+     "(400,400) of the ring holds 160801"),
+    (["lc", PRODUCTS, "--ideal", "irr", "--i", "1",
+      "--window", "400:400,400:400"], "(399,399) of the ring holds 160000"),
+], ids=["mult", "lc"])
+def test_bidegree_far_from_origin_is_refused_at_once(argv, piece):
+    # a window of one cell, or one multiplication map, still lists every
+    # monomial of its bidegree: above ring.MAX_PIECE it exits 3 at once
+    out = run_child(argv)
+    assert out.returncode == 3
+    assert out.stderr == "error: bidegree %s monomials, more than %d\n" % (
+        piece, MAX_PIECE)
 
 
 def test_window_limit_counts_cells(doc):

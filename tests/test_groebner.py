@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from bigraded import groebner
-from bigraded.groebner import (GroebnerBasis, _nf_table, _reduce,
-                               block_matrix, buchberger,
+from bigraded.errors import PieceTooLarge
+from bigraded.groebner import (GroebnerBasis, _by_position, _nf_table,
+                               _reduce, block_matrix, buchberger,
                                column_syzygies, graded_piece,
                                ideal_presentation,
                                multiplication_matrix, normal_form,
@@ -231,8 +232,8 @@ def test_heap_reduce_matches_max_scan_oracle(spec):
         want = max_scan_reduce(field, f, elements, leads, exprs, expr,
                                history, key)
         rem, trace = _reduce(field, shift(f), [shift(g) for g in elements],
-                             [(gi, mono_mul(u, shifts[gi]))
-                              for gi, u in leads], exprs, expr)
+                             _by_position([(gi, mono_mul(u, shifts[gi]))
+                                           for gi, u in leads]), exprs, expr)
         got = shift(rem, -1), trace
         assert (f, expr) == (f0, expr0)
         assert [list(v.items()) for v in got if v is not None] == \
@@ -514,6 +515,17 @@ def test_upset_check_is_fast_on_p9xp9():
     M = quotient_presentation(R, [R.var(v) for v in range(10)])
     assert vanishes_on_upset(M, reg(-1, 0, 0))
     assert upset_nonvanishing_witness(M, reg_double_prime(0, 0)) == (0, 1)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_upset_clamp_above_piece_limit_is_refused():
+    # R/(x0^3..x9^3) over P9 x P1 at Reg_-1(40, 0): the clamp (21, 1) holds
+    # C(30, 9) * 2, about 2.9e7 monomials, and is refused before listing
+    t0 = time.monotonic()
+    R = make_ring(9, 1)
+    M = quotient_presentation(R, [R.var(v) ** 3 for v in range(10)])
+    with pytest.raises(PieceTooLarge, match=r"bidegree \(21,1\)"):
+        vanishes_on_upset(M, reg(-1, 40, 0))
     assert time.monotonic() - t0 < 1.0
 
 

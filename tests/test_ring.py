@@ -4,9 +4,9 @@ import random
 import pytest
 
 from bigraded.errors import (BigradedError, EmptyRing, InvalidSpace,
-                             NotBihomogeneous, ZeroPolynomial)
-from bigraded.ring import (MAX_BLOCK, Poly, make_ring, mono_key, mono_mul,
-                           sections_dim, top_dim)
+                             NotBihomogeneous, PieceTooLarge, ZeroPolynomial)
+from bigraded.ring import (MAX_BLOCK, MAX_PIECE, Poly, make_ring, mono_key,
+                           mono_mul, sections_dim, top_dim)
 from helpers import monomial_count, random_sparse_poly
 
 
@@ -42,6 +42,18 @@ def test_largest_ring():
     R = make_ring(MAX_BLOCK, MAX_BLOCK)
     assert R.nvars == 2 * MAX_BLOCK + 2
     assert len(R.monomials((1, 1))) == (MAX_BLOCK + 1) ** 2
+
+
+def test_piece_limit_lists_max_piece_and_refuses_more():
+    # on P1 x P1, (249, 399) holds 250 * 400 monomials, exactly the limit
+    R = make_ring(1, 1)
+    assert R.piece_dim(249, 399) == MAX_PIECE
+    monos = R.monomials((249, 399))
+    assert len(monos) == len(set(monos)) == MAX_PIECE
+    assert all(R.mono_bidegree(e) == (249, 399) for e in monos)
+    with pytest.raises(PieceTooLarge, match="holds 100250 monomials"):
+        R.monomials((249, 400))
+    assert issubclass(PieceTooLarge, BigradedError)
 
 
 def test_monomials_returns_a_list_the_caller_may_mutate():
