@@ -23,8 +23,7 @@ from array import array
 from functools import partial
 
 from .modules import (FreeModule, ModuleMap, Presentation, term_key,
-                      vec_bidegree, vec_from_poly, vec_mono_shift, vec_scale,
-                      vec_sub_shift)
+                      vec_bidegree, vec_from_poly, vec_scale, vec_sub_shift)
 from .regions import upset_bounds
 from .ring import mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -112,14 +111,15 @@ def _chain_redundant(same, done, i, j, l):
 def _spair(field, elements, leads, at, exprs, l, i, j):
     """Reduced S-vector of the monic elements i, j with lead lcm l, and
     its trace x^qi * exprs[i] - x^qj * exprs[j] - (division quotients)."""
-    one = field.one
+    one, minus = field.one, field.neg(field.one)
     qi = mono_div(l, leads[i][1])
     qj = mono_div(l, leads[j][1])
-    s = vec_mono_shift(field, elements[i], qi, one)
+    s, sx = {}, None
+    vec_sub_shift(field, s, elements[i], qi, minus)
     vec_sub_shift(field, s, elements[j], qj, one)
-    sx = None
     if exprs[i] is not None:
-        sx = vec_mono_shift(field, exprs[i], qi, one)
+        sx = {}
+        vec_sub_shift(field, sx, exprs[i], qi, minus)
         vec_sub_shift(field, sx, exprs[j], qj, one)
     return _reduce(field, s, elements, at, exprs, sx)
 
@@ -340,12 +340,13 @@ def _nf_table(M, D):
         gb = presentation_gb(M)
         basis, _ = graded_piece(M, D)
         index = {t: i for i, t in enumerate(basis)}
+        unit = pack((field.one,))       # rows are read-only, so shared
         table = {}
         for t in sorted(M.f0.piece_basis(M.ring, D), key=term_key,
                         reverse=True):
             i = index.get(t)
             if i is not None:
-                table[t] = (pack((i,)), pack((field.one,)))
+                table[t] = (pack((i,)), unit)
                 continue
             gi, e = t
             k, lu = next(kl for kl in gb.at[gi] if mono_divides(kl[1], e))

@@ -36,6 +36,10 @@ by the child rule resolutions.frame_children, an element of lead u and
 degree g having a child of degree g + deg q for each of its q.
 nu*(d - g) only grows with g, so the bound is nu*(d - G) for G the
 componentwise largest degree in the frame.
+
+Every cache here, power complexes included, lives on the presentation M:
+a Ring caches only its monomial lists (Ring), so reference counting alone
+frees a ring and all that was computed over it.
 """
 
 from collections import namedtuple
@@ -80,16 +84,17 @@ def ideal_generators(ring, kind):
     return [ring.var(v) for v in vs]
 
 
-def _power_complex(ring, kind, nu):
-    """Free resolution of R modulo the nu-th power family, with gen_labels;
-    the Koszul complex on no variables, R alone, resolves the zero ideal."""
+def _power_complex(M, kind, nu):
+    """Free resolution of R modulo the nu-th power family, with gen_labels,
+    cached on the presentation M (module docstring); the Koszul complex on
+    no variables, R alone, resolves the zero ideal."""
     key = ("lc_complex", kind, nu)
-    if key not in ring._cache:
-        vs = _kind_variables(ring, kind)
-        ring._cache[key] = (irrelevant_resolution(ring, nu)
-                            if kind == IRRELEVANT and vs
-                            else koszul_complex(ring, vs, nu))
-    return ring._cache[key]
+    if key not in M._cache:
+        ring, vs = M.ring, _kind_variables(M.ring, kind)
+        M._cache[key] = (irrelevant_resolution(ring, nu)
+                         if kind == IRRELEVANT and vs
+                         else koszul_complex(ring, vs, nu))
+    return M._cache[key]
 
 
 def _label_mono(ring, label):
@@ -99,7 +104,10 @@ def _label_mono(ring, label):
 
 
 def complex_length(ring, kind):
-    return len(_power_complex(ring, kind, 1).terms) - 1
+    """Length of the power complex on the kind's c variables: c, or c - 1
+    for a nonzero irrelevant ideal."""
+    vs = _kind_variables(ring, kind)
+    return len(vs) - (kind == IRRELEVANT and bool(vs))
 
 # ----------------------------------------------------- cochain linear algebra
 
@@ -121,7 +129,7 @@ def _delta_rank(M, kind, nu, i, d):
     cochain space."""
     key = ("lc_rank", kind, nu, i, d)
     if key not in M._cache:
-        phi = _power_complex(M.ring, kind, nu).diffs[i]
+        phi = _power_complex(M, kind, nu).diffs[i]
         entries, nrows, ncols = block_matrix(
             M, _hom_blocks(phi), phi.source.gens, phi.target.gens, d)
         M._cache[key] = rank_entries(entries, nrows, ncols, M.ring.field)
@@ -135,7 +143,7 @@ def ext_graded_dim(M, kind, i, d, nu):
     if i < 0 or i > ring.m + ring.n + 2:
         raise InvalidIndex("cohomological index %d out of range" % i)
     check_power("nu", nu)
-    C = _power_complex(ring, kind, nu)
+    C = _power_complex(M, kind, nu)
     dims = [_cochain_dim(M, term.gens, d) for term in C.terms]
     top = len(C.terms) - 1
     if i > top:
@@ -169,8 +177,8 @@ def _transition_is_iso(M, kind, i, d, nu, hs):
         return False
     if hs[nu] == 0:
         return True
-    Ca = _power_complex(ring, kind, nu)
-    inc = _power_complex(ring, kind, nu + 1).diffs[i - 1]
+    Ca = _power_complex(M, kind, nu)
+    inc = _power_complex(M, kind, nu + 1).diffs[i - 1]
     out = Ca.diffs[i:i + 1]              # delta_i; there is none at the top
     above = out[0].source.gens if out else ()
     cols = Ca.terms[i].gens
@@ -185,29 +193,30 @@ def _transition_is_iso(M, kind, i, d, nu, hs):
     return w == _delta_rank(M, kind, nu, i - 1, d)
 
 
+def _frame_walk(ring, top, base, leads):
+    """Raise top to every frame degree below leads, whose parent is at base."""
+    hull = list(leads)                          # lcm of each suffix
+    for j in range(len(hull) - 2, -1, -1):
+        hull[j] = mono_lcm(hull[j], hull[j + 1])
+    for j, u in enumerate(leads):
+        a, b = ring.mono_bidegree(hull[j])
+        if base[0] + a <= top[0] and base[1] + b <= top[1]:
+            return
+        deg = tuple(map(add, base, ring.mono_bidegree(u)))
+        top[:] = map(max, top, deg)
+        _frame_walk(ring, top, deg, [q for q, _k in frame_children(leads, j)])
+
+
 def _frame_top(M):
     """Componentwise largest bidegree of the Schreyer frame on the basis
     leads (module docstring), () when M.f0 has no generator.  Walked depth
     first; an element and its later siblings are skipped once the lcm of
     their full monomials, which bounds every descendant, cannot raise it."""
     if "lc_frame_top" not in M._cache:
-        ring = M.ring
         top = list(map(max, zip(*M.f0.gens)))
-
-        def walk(base, leads):
-            hull = list(leads)                  # lcm of each suffix
-            for j in range(len(hull) - 2, -1, -1):
-                hull[j] = mono_lcm(hull[j], hull[j + 1])
-            for j, u in enumerate(leads):
-                a, b = ring.mono_bidegree(hull[j])
-                if base[0] + a <= top[0] and base[1] + b <= top[1]:
-                    return
-                deg = tuple(map(add, base, ring.mono_bidegree(u)))
-                top[:] = map(max, top, deg)
-                walk(deg, [q for q, _k in frame_children(leads, j)])
-
         for k, same in presentation_gb(M).at.items():
-            walk(M.f0.gens[k], sorted((u for _j, u in same), reverse=True))
+            _frame_walk(M.ring, top, M.f0.gens[k],
+                        sorted((u for _j, u in same), reverse=True))
         M._cache["lc_frame_top"] = tuple(top)
     return M._cache["lc_frame_top"]
 

@@ -9,7 +9,7 @@ break ties toward the lower generator index.
 from operator import add
 
 from .errors import NotBihomogeneous, ZeroPolynomial
-from .ring import _accumulate, mono_key, mono_mul
+from .ring import mono_key
 
 # ---------------------------------------------------------------- vectors
 
@@ -17,10 +17,6 @@ from .ring import _accumulate, mono_key, mono_mul
 def term_key(t):
     """mono_key, then the generator index: the smallest is the largest term."""
     return (mono_key(t[1]), t[0])
-
-
-def vec_add(field, u, v):
-    return _accumulate(field, dict(u), v.items())
 
 
 def vec_sub_shift(field, acc, v, mono, coeff, entered=None):
@@ -48,14 +44,6 @@ def vec_scale(field, c, u):
     if c == 0:
         return {}
     return {t: field.mul(c, v) for t, v in u.items()}
-
-
-def vec_mono_shift(field, u, mono, coeff):
-    """coeff * x^mono * u."""
-    if coeff == 0:
-        return {}
-    return {(gi, mono_mul(e, mono)): field.mul(coeff, c)
-            for (gi, e), c in u.items()}
 
 
 def vec_bidegree(ring, gens, u):

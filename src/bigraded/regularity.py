@@ -39,10 +39,9 @@ LOCAL_COHOMOLOGY_CHECK = "LocalCohomologyCheck"
 
 def module_betti(M):
     """Betti table {homological degree: sorted generator bidegrees} of the
-    minimal free resolution, cached on the presentation."""
-    if "betti" not in M._cache:
-        M._cache["betti"] = betti_table(minimal_free_resolution(M))
-    return M._cache["betti"]
+    minimal free resolution M caches: one minimal_free_resolution call."""
+    return betti_table(M._cache.get("resolution")
+                       or minimal_free_resolution(M))
 
 
 def betti_multiplicities(betti):

@@ -89,14 +89,14 @@ def betti_table(C):
 def map_rank_at(phi, d):
     """Rank of phi at bidegree d: block_matrix over the free module R,
     source generator c at R_{d - g_c} and target generator r at
-    R_{d - g_r}, entry (r, x^e) of column c multiplying by x^e."""
+    R_{d - g_r}, entry (r, x^e) of column c multiplying by x^e.  R is
+    presented afresh on each call, as a ring caches no presentation."""
     ring = phi.ring
-    if "free" not in ring._cache:
-        ring._cache["free"] = free_presentation(ring, [(0, 0)])
     blocks = [(r, c, e, v) for c, col in enumerate(phi.cols)
               for (r, e), v in col.items()]
     entries, nrows, ncols = block_matrix(
-        ring._cache["free"], blocks, [(-a, -b) for a, b in phi.target.gens],
+        free_presentation(ring, [(0, 0)]), blocks,
+        [(-a, -b) for a, b in phi.target.gens],
         [(-a, -b) for a, b in phi.source.gens], d)
     return rank_entries(entries, nrows, ncols, ring.field)
 

@@ -86,7 +86,10 @@ class Ring:
     """Context object: variable counts, coefficient field, monomial helpers.
 
     m and n lie in -1..MAX_BLOCK and are not both -1, so a ring has 1 to
-    66 variables."""
+    66 variables.  A ring caches only its monomial lists; what refers to a
+    ring, such as a complex, is cached on a presentation, since on the ring
+    it would be a cycle that only the cyclic garbage collector frees (the
+    reason resolutions.FreeComplex holds its module weakly)."""
 
     def __init__(self, m, n, field):
         if m < -1 or n < -1:

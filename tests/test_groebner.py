@@ -20,13 +20,12 @@ from bigraded.groebner import (GroebnerBasis, _by_position, _nf_table,
 from bigraded.localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
-                              vec_add, vec_bidegree, vec_from_poly,
-                              vec_mono_shift, vec_sub_shift)
+                              vec_bidegree, vec_from_poly, vec_sub_shift)
 from bigraded.regions import (reg, reg_double_prime, reg_prime,
                               region_contains)
 from bigraded.resolutions import map_rank_at
-from bigraded.ring import (make_ring, mono_div, mono_divides, mono_lcm,
-                           mono_mul)
+from bigraded.ring import (_accumulate, make_ring, mono_div, mono_divides,
+                           mono_lcm, mono_mul)
 from conftest import irrelevant_gens, seeded_minors, seeded_minors_polys
 from helpers import (max_scan_reduce, random_sparse_poly, schreyer_key,
                      span_piece_dim)
@@ -73,7 +72,7 @@ def test_buchberger_flag_and_shuffle_invariance():
     x0, x1, y0, y1 = (R.var(i) for i in range(4))
     polys = [x0 * y1 - x1 * y0, x0 * y0, x1 * y1 + x0 * y1]
     F2 = FreeModule([(0, 0), (1, 0)])
-    rank2 = [vec_add(R.field, vec(a, 0), vec(b, 1)) for a, b in [
+    rank2 = [_accumulate(R.field, vec(a, 0), vec(b, 1).items()) for a, b in [
         (x0 * y0 - x1 * y1, y0), (x1 * y0, y1 + y0),
         (x0 * x0 * y1, x1 * y0), (x0 * y1 * y1, y0 * y1)]]
     cases = [(FreeModule([(0, 0)]), [vec(f) for f in polys]),
@@ -258,7 +257,9 @@ def test_buchberger_spair_postcondition(P11):
             if gi != gj:
                 continue
             l = mono_lcm(ei, ej)
-            s = vec_mono_shift(field, els[i], mono_div(l, ei), field.one)
+            s = {}
+            vec_sub_shift(field, s, els[i], mono_div(l, ei),
+                          field.neg(field.one))
             vec_sub_shift(field, s, els[j], mono_div(l, ej), field.one)
             assert normal_form(s, G) == {}
 
@@ -314,8 +315,7 @@ def test_syzygies_examples(P11):
     for col in Sm.cols:
         acc = {}
         for (gi, e), c in col.items():
-            acc = vec_add(P11.field, acc,
-                          vec_mono_shift(P11.field, Gm.elements[gi], e, c))
+            vec_sub_shift(P11.field, acc, Gm.elements[gi], e, P11.field.neg(c))
         assert acc == {}
 
 
@@ -373,7 +373,7 @@ def random_columns(ring, rng, gens):
     extras = [({}, (2, 1)), (dict(cols[k]), degs[k]),
               ({t: field.mul(field.of(3), c) for t, c in cols[k].items()},
                degs[k]),
-              (vec_mono_shift(field, cols[k], x_v, field.one),
+              ({(gi, mono_mul(e, x_v)): c for (gi, e), c in cols[k].items()},
                (degs[k][0] + dv[0], degs[k][1] + dv[1])),
               ({(0, ring.zero_mono): field.of(5)}, gens[0])]
     for col, d in extras:
@@ -486,8 +486,10 @@ def test_upset_witness_agrees_with_brute_force(corpus, P11):
     # three generators, one of them killed by y0^2 and entangled with x0
     x0, x1, y0, y1 = (P11.var(v) for v in range(4))
     F = FreeModule([(0, 0), (1, 0), (0, 1)])
-    rels = [vec_add(P11.field, vec(x0 * y0), vec(-y0, 1)), vec(x1 * x1, 1),
-            vec_add(P11.field, vec(x0, 2), vec(-y1, 1)), vec(y0 * y0, 2)]
+    rels = [_accumulate(P11.field, vec(x0 * y0), vec(-y0, 1).items()),
+            vec(x1 * x1, 1),
+            _accumulate(P11.field, vec(x0, 2), vec(-y1, 1).items()),
+            vec(y0 * y0, 2)]
     mods.append(Presentation(P11, F, ModuleMap(
         P11, FreeModule([vec_bidegree(P11, F.gens, r) for r in rels]), F,
         rels)))

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -9,13 +10,16 @@ from bigraded.errors import (BigradedError, InvalidIndex, InvalidPower,
                              NoStabilization)
 from bigraded.groebner import graded_piece, ideal_presentation
 from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y, _frame_top,
-                               _stable_power, _transition_is_iso,
+                               _power_complex, _stable_power,
+                               _transition_is_iso,
                                complex_length, ext_graded_dim, free_lc_dim,
                                h0_via_saturation, lc_table,
                                local_cohomology_dim)
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation)
-from bigraded.resolutions import minimal_free_resolution, schreyer_frame
+from bigraded.regularity import module_betti
+from bigraded.resolutions import (homology_dims, minimal_free_resolution,
+                                  schreyer_frame)
 from bigraded.ring import make_ring
 from bigraded.sheaf import kunneth_dim
 from conftest import SATURATION_ROUNDS_DOC, irrelevant_gens
@@ -145,6 +149,15 @@ def test_free_oracle_against_engine_on_an_empty_block(m, n):
                     got = local_cohomology_dim(M, kind, i, d)
                     assert got.dim == free_lc_dim(kind, i, twist, d, (m, n))
                     assert got.certified
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (0, 2), (-1, 2), (2, -1)])
+def test_complex_length_is_the_length_of_the_power_complex(m, n):
+    R = make_ring(m, n)
+    M = free(R)
+    for kind in KINDS:
+        C = _power_complex(M, kind, 1)
+        assert complex_length(R, kind) == len(C.terms) - 1, kind
 
 
 def test_dictionary_on_free_modules(P11):
@@ -460,3 +473,30 @@ def test_skip_leaves_every_answer_unchanged(P11, P12, corpus):
                 continue
             with pytest.raises(NoStabilization):
                 local_cohomology_dim(M, kind, i, d, nu_max, strict=True)
+
+# ------------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("answer", [
+    lambda M: local_cohomology_dim(M, IRRELEVANT, 2, (-2, 0)),
+    lambda M: lc_table(M, IRRELEVANT, 2, (-2, 0, -2, 0)),
+    lambda M: homology_dims(minimal_free_resolution(M), (2, 2)),
+    module_betti,
+], ids=["cell", "table", "homology", "betti"])
+def test_answers_are_freed_by_refcount(answer):
+    # a ring caches only its monomial lists and the rest is cached on the
+    # presentation, so nothing refers back to the ring in a cycle: with the
+    # cyclic collector off, dropping the ring and the module frees them
+    gc.collect()
+    gc.disable()
+    try:
+        R = make_ring(1, 1)
+        x0, x1, y0, y1 = (R.var(v) for v in range(4))
+        M = quotient_presentation(R, [x0 * y0 * y1, x1 * x1 * y0])
+        answer(M)
+        assert all(len(key) == 3 and key[0] == "monomials"
+                   for key in R._cache), sorted(R._cache, key=repr)
+        del R, M, x0, x1, y0, y1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

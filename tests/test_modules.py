@@ -4,8 +4,9 @@ from bigraded.errors import NotBihomogeneous, ZeroPolynomial
 from bigraded.groebner import graded_piece, ideal_presentation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation, twist,
-                              vec_add, vec_bidegree, vec_from_poly)
+                              vec_bidegree, vec_from_poly)
 from bigraded.resolutions import map_rank_at
+from bigraded.ring import _accumulate
 from conftest import irrelevant_gens
 from helpers import quotient_piece_dim, rank_over, span_piece_dim
 
@@ -63,11 +64,13 @@ def test_map_rank_at_matches_apply(ring, request):
     x0, x1, y0, y1 = (R.var(v) for v in range(4))
     F1 = FreeModule([(1, 1), (1, 1), (2, 1)])
     F0 = FreeModule([(0, 0), (1, 0)])
-    cols = [vec_add(R.field, vec_from_poly(x0 * y0), vec_from_poly(y1, 1)),
-            vec_add(R.field, vec_from_poly((x1 * y0).scale(3)), vec_from_poly(y0, 1)),
+    cols = [_accumulate(R.field, vec_from_poly(x0 * y0),
+                        vec_from_poly(y1, 1).items()),
+            _accumulate(R.field, vec_from_poly((x1 * y0).scale(3)),
+                        vec_from_poly(y0, 1).items()),
             # x1 * cols[0] - x0 * cols[1]: the map has a kernel from (2, 1)
-            vec_add(R.field, vec_from_poly((x0 * x1 * y0).scale(-2)),
-                    vec_from_poly(x1 * y1 - x0 * y0, 1))]
+            _accumulate(R.field, vec_from_poly((x0 * x1 * y0).scale(-2)),
+                        vec_from_poly(x1 * y1 - x0 * y0, 1).items())]
     phi = ModuleMap(R, F1, F0, cols).check()
     for d in [(0, 0), (1, 1), (2, 1), (2, 2), (3, 2), (1, 3)]:
         # the matrix column of a source monomial is its image under apply

@@ -14,7 +14,7 @@ from bigraded.localcoh import (KINDS, _label_mono, _power_complex,
                                ideal_generators)
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
-                              vec_add, vec_from_poly, vec_mono_shift)
+                              vec_from_poly, vec_sub_shift)
 from bigraded.regularity import module_betti, strong_regularity_frontier
 from bigraded.resolutions import (FreeComplex, betti_table, homology_dims,
                                   irrelevant_resolution, koszul_complex,
@@ -117,15 +117,15 @@ def test_every_power_complex_resolves_its_power_family(m, n):
     R = make_ring(m, n)
     for kind in KINDS:
         for nu in (1, 2):
-            C = _power_complex(R, kind, nu)
+            powers = [f ** nu for f in ideal_generators(R, kind)]
+            M = quotient_presentation(R, powers)
+            C = _power_complex(M, kind, nu)
             # the transition multiplies a generator by one copy of each
             # variable of its label, so the label's nu-th power must carry
             # the generator's bidegree
             for term, labels in zip(C.terms, C.gen_labels):
                 assert list(term.gens) == [R.mono_bidegree(
                     [nu * e for e in _label_mono(R, U)]) for U in labels]
-            powers = [f ** nu for f in ideal_generators(R, kind)]
-            M = quotient_presentation(R, powers)
             # [-1, 3]^2 at nu = 1, [-1, 4]^2 at nu = 2
             window = square_window(-1, max(4, 2 * nu + 1))
             assert_windowed_resolution(C, M, window)
@@ -451,8 +451,7 @@ def test_minimize_removes_split_exact_summand(P11, P11q):
         # every column of d2 gains row r1+1 entries, which minimize must
         # delete with the cancelled generator
         g = R.monomials(C.terms[1].gens[0])[0]
-        d1[0] = vec_add(field, d1[0],
-                        vec_mono_shift(field, d1[r1 + 1], g, field.one))
+        vec_sub_shift(field, d1[0], d1[r1 + 1], g, field.neg(field.one))
         for col in d2:
             col.update({(r1 + 1, mono_mul(e, g)): field.neg(cc)
                         for (r, e), cc in list(col.items()) if r == 0})
