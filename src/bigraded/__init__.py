@@ -17,16 +17,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "BigradedError EmptyRing InputError InvalidField InvalidIndex "
               "InvalidPower InvalidRegion InvalidSpace NeedsWindow "
-              "NoStabilization NotBihomogeneous PieceTooLarge ZeroModule "
-              "ZeroPolynomial",
+              "NotBihomogeneous PieceTooLarge ZeroModule ZeroPolynomial",
     "fields": "QQ PrimeField field_from_spec",
     "groebner": "GroebnerBasis buchberger graded_piece ideal_presentation "
                 "ideal_quotient multiplication_matrix normal_form saturate "
-                "syzygies upset_nonvanishing_witness vanishes_on_upset",
+                "syzygies upset_nonvanishing_witness",
     "localcoh": "IRRELEVANT X XY_SUM Y ext_graded_dim free_lc_dim "
                 "h0_via_saturation lc_table local_cohomology_dim",
     "modules": "FreeModule ModuleMap Presentation free_presentation "
-               "quotient_presentation twist",
+               "quotient_presentation",
     "regions": "DREG REG REG_DOUBLE_PRIME REG_PRIME ST Region dreg reg "
                "reg_double_prime reg_prime region_ascii region_contains "
                "region_points region_shift_properties_check st st_points",

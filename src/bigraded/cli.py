@@ -356,9 +356,8 @@ def _verdict(kind, args, v, witness):
     return code, payload, "\n".join(lines)
 
 
-def _grid_json(i, window, dims, uncertified=(), **extra):
-    return dict(extra, i=i, window=list(window), dims=dims,
-                uncertified=[list(u) for u in uncertified])
+def _grid_json(i, window, dims, **extra):
+    return dict(extra, i=i, window=list(window), dims=dims, uncertified=[])
 
 
 def _grid_ascii(title, window, dims, uncertified=()):
@@ -427,11 +426,9 @@ def _cmd_lc(args, M):
     window = _parse_window(args.window)
     table = lc_table(M, args.ideal, args.i, window,
                      nu_max=args.nu_max)
-    dims, uncertified = table["dims"], table["uncertified"]
     title = "H^%d at ideal '%s'" % (args.i, args.ideal)
-    return (2 if uncertified else 0,
-            {"grid": _grid_json(args.i, window, dims, uncertified)},
-            _grid_ascii(title, window, dims, uncertified))
+    return (2 if table["uncertified"] else 0, {"grid": table},
+            _grid_ascii(title, window, table["dims"], table["uncertified"]))
 
 
 def _cmd_sheaf(args):

@@ -37,10 +37,6 @@ class NeedsWindow(BigradedError):
     """Enumerating an infinite region requires an explicit window."""
 
 
-class NoStabilization(BigradedError):
-    """Transition maps between Ext levels did not certify within nu_max."""
-
-
 class InvalidPower(BigradedError, ValueError):
     """A power nu or bound nu_max of the Ext limit below 1."""
 

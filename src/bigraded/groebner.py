@@ -552,8 +552,3 @@ def upset_nonvanishing_witness(M, region):
                 if any(gi == g for gi, _e in graded_piece(M, pt)[0]):
                     return (a, c - a)
     return None
-
-
-def vanishes_on_upset(M, region):
-    """True iff every graded piece of M over the up-set region is zero."""
-    return upset_nonvanishing_witness(M, region) is None

@@ -45,7 +45,7 @@ frees a ring and all that was computed over it.
 from collections import namedtuple
 from operator import add
 
-from .errors import InvalidIndex, NoStabilization
+from .errors import InvalidIndex
 from .groebner import block_matrix, graded_piece, presentation_gb, saturate
 from .linalg import rank_entries
 from .resolutions import (check_power, frame_children, irrelevant_resolution,
@@ -238,7 +238,7 @@ def h0_via_saturation(M, kind):
     return M._cache[key]
 
 
-def local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
+def local_cohomology_dim(M, kind, i, d, nu_max=8):
     """Stable dimension of the degree-d piece of H^i supported at the given
     monomial ideal.  Certified when two consecutive transition maps in the
     Ext limit are isomorphisms; degree 0 is exact via saturation.
@@ -280,11 +280,6 @@ def local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
             if t not in hs:
                 hs[t] = ext_graded_dim(M, kind, i, d, t)[0]
             return LocalCohomologyValue(hs[t], t, True)
-    if strict:
-        raise NoStabilization(
-            "no two consecutive stable transitions for i=%d at %s by "
-            "nu_max=%d (dims %s)" % (i, d, nu_max, [hs.get(s) for s in
-                                                    sorted(hs)]))
     if nu_max not in hs:
         hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
     return LocalCohomologyValue(hs[nu_max], None, False)

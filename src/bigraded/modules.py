@@ -169,10 +169,6 @@ class Presentation:
         return Presentation(self.ring, f0, rels)
 
 
-def twist(M, a, b):
-    return M.twist(a, b)
-
-
 def free_presentation(ring, gen_degrees):
     """Free module as a presentation with no relations."""
     return Presentation(ring, FreeModule(gen_degrees))

@@ -47,9 +47,6 @@ class Region:
                 (self.kind, self.i, self.p, self.pp) ==
                 (other.kind, other.i, other.p, other.pp))
 
-    def contains(self, k, kp):
-        return region_contains(self, k, kp)
-
 
 def st(i, p=0, pp=0):
     return Region(ST, i, p, pp)

@@ -82,6 +82,15 @@ MAX_BLOCK = 32  # the largest m or n of a ring: P^32 x P^32
 MAX_PIECE = 100_000  # the most monomials Ring.monomials lists in one bidegree
 
 
+def _check_blocks(m, n):
+    """Raise InvalidSpace unless both block dimensions lie in -1..MAX_BLOCK."""
+    if m < -1 or n < -1:
+        raise InvalidSpace("m and n must be at least -1")
+    if m > MAX_BLOCK or n > MAX_BLOCK:
+        raise InvalidSpace("m and n must be at most %d, got m=%d, n=%d"
+                           % (MAX_BLOCK, m, n))
+
+
 class Ring:
     """Context object: variable counts, coefficient field, monomial helpers.
 
@@ -92,11 +101,7 @@ class Ring:
     reason resolutions.FreeComplex holds its module weakly)."""
 
     def __init__(self, m, n, field):
-        if m < -1 or n < -1:
-            raise InvalidSpace("m and n must be at least -1")
-        if m > MAX_BLOCK or n > MAX_BLOCK:
-            raise InvalidSpace("m and n must be at most %d, got m=%d, n=%d"
-                               % (MAX_BLOCK, m, n))
+        _check_blocks(m, n)
         if m == -1 and n == -1:
             raise EmptyRing("both variable blocks empty")
         self.m = m
@@ -128,13 +133,10 @@ class Ring:
     def var(self, v):
         e = [0] * self.nvars
         e[v] = 1
-        return Poly(self, {tuple(e): self.field.one})
+        return self.monomial(e)
 
-    def monomial(self, e, coeff=None):
-        c = self.field.one if coeff is None else coeff
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {tuple(e): c})
+    def monomial(self, e):
+        return Poly(self, {tuple(e): self.field.one})
 
     def from_terms(self, items):
         """Build a polynomial from (monomial, coefficient) pairs, merging dupes."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InvalidSpace
 from .regions import reg, region_contains, st_points
-from .ring import _compositions, sections_dim, top_dim
+from .ring import _check_blocks, _compositions, sections_dim, top_dim
 
 
 def serre_dim(m, k, a):
@@ -43,12 +43,14 @@ def chi(m, k):
 
 
 class LineBundleSum:
-    """Direct sum of line bundles O(a,b) on a fixed product space."""
+    """Direct sum of line bundles O(a,b) on a fixed product space, whose
+    block dimensions lie in -1..ring.MAX_BLOCK like a ring's: far above
+    it the closed forms would sum millions of Kunneth terms or build
+    binomials of millions of digits."""
 
     def __init__(self, space, twists):
         self.space = (int(space[0]), int(space[1]))
-        if min(self.space) < -1:
-            raise InvalidSpace("m and n must be integers >= -1")
+        _check_blocks(*self.space)
         self.twists = [(int(a), int(b)) for a, b in twists]
 
     def __repr__(self):

@@ -15,7 +15,10 @@ term by term instead of in shifted coordinates; min_scan_rank, the
 sparse rank that scans each row for its lowest column on every step
 instead of keeping a heap; and
 enumerated_multiplication_surjective, the section-multiplication test
-that walks the monomial bases its closed form replaced.
+that walks the monomial bases its closed form replaced.  The graded
+local duality of dual_complex and duality_sum_dims also runs on the
+package's resolutions and ranks, but on none of the power complexes
+and saturations it checks.
 """
 
 import itertools
@@ -23,10 +26,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from bigraded.errors import NoStabilization
 from bigraded.groebner import presentation_gb
 from bigraded.localcoh import (LocalCohomologyValue, _transition_is_iso,
                                ext_graded_dim)
+from bigraded.modules import FreeModule, ModuleMap
+from bigraded.resolutions import FreeComplex, homology_dims
 
 
 def binom(n, k):
@@ -271,7 +275,7 @@ def random_sparse_poly(ring, rng, d, nterms=4, coeff_bound=50):
 # ------------------------------------------------------ the unskipped chase
 
 
-def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
+def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8):
     """local_cohomology_dim for i >= 1 (up to the complex length) as it was
     before the stable-power skip: every transition the chase reads is
     decided by its rank test."""
@@ -284,11 +288,40 @@ def unskipped_local_cohomology_dim(M, kind, i, d, nu_max=8, strict=False):
                 iso[s] = _transition_is_iso(M, kind, i, d, s, hs)
         if iso[t] and iso[t + 1]:
             return LocalCohomologyValue(hs[t], t, True)
-    if strict:
-        raise NoStabilization("no two consecutive stable transitions")
     if nu_max not in hs:
         hs[nu_max] = ext_graded_dim(M, kind, i, d, nu_max)[0]
     return LocalCohomologyValue(hs[nu_max], None, False)
+
+
+# ------------------------------------------------ graded local duality
+
+
+def dual_complex(C):
+    """Hom(C, R) for a free resolution C: level j has C's generators at -g,
+    and the transposed differentials keep their monomial entries.  Its
+    levels are stored in reverse, L first, so that it is a FreeComplex."""
+    ring = C.ring
+    terms = [FreeModule([(-a, -b) for a, b in F.gens]) for F in C.terms]
+    diffs = []
+    for j, phi in enumerate(C.diffs):
+        cols = [{} for _ in terms[j].gens]
+        for c, col in enumerate(phi.cols):
+            for (r, e), v in col.items():
+                cols[r][(c, e)] = v
+        diffs.append(ModuleMap(ring, terms[j], terms[j + 1], cols))
+    return FreeComplex(ring, terms[::-1], diffs[::-1])
+
+
+def duality_sum_dims(D, d):
+    """dim H^i(M)_d at the sum ideal (all N variables) for i = 0..N, with
+    D the dual_complex of a free resolution of M, by graded local duality
+    (Bruns-Herzog, Thm 3.6.19): R is Gorenstein with canonical module
+    R(-(m+1), -(n+1)), so the dimension is that of Ext^{N-i}(M, R) at
+    -d - (m+1, n+1).  No power complex, Laurent basis or saturation."""
+    ring = D.ring
+    ext = homology_dims(D, (-d[0] - ring.m - 1, -d[1] - ring.n - 1))[::-1]
+    return [ext[ring.nvars - i] if ring.nvars - i < len(ext) else 0
+            for i in range(ring.nvars + 1)]
 
 
 # ----------------------------------------- the Schreyer frame, unpruned

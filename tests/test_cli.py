@@ -598,6 +598,22 @@ def test_huge_ring_is_refused_at_once(doc):
                           "got m=100000000, n=1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m", "100000000", "--n", "100000000", "--a", "0", "--b", "0",
+     "--i", "100000000"],
+    ["--m", "3000000", "--n", "0", "--a", "3000000", "--b", "0",
+     "--i", "0"],
+], ids=["kunneth-terms", "section-binomial"])
+def test_huge_sheaf_block_is_refused_at_once(argv):
+    # sheaf has the ring's block limit: far above it Kunneth would sum
+    # 10^8 terms, or one binomial would have millions of digits
+    out = run_child(["sheaf"] + argv + ["--window", "0:0,0:0"])
+    assert out.returncode == 3
+    m, n = argv[1], argv[3]
+    assert out.stderr == ("error: m and n must be at most 32, got m=%s, "
+                          "n=%s\n" % (m, n))
+
+
 HUGE_WINDOW = ["--window", "0:100000000,0:0"]
 
 

@@ -16,7 +16,7 @@ from bigraded.groebner import (GroebnerBasis, _by_position, _nf_table,
                                ideal_presentation,
                                multiplication_matrix, normal_form,
                                presentation_gb, saturate, syzygies,
-                               upset_nonvanishing_witness, vanishes_on_upset)
+                               upset_nonvanishing_witness)
 from bigraded.localcoh import IRRELEVANT, X, XY_SUM, Y, h0_via_saturation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
                               free_presentation, quotient_presentation,
@@ -428,22 +428,22 @@ def test_saturation_examples(P11):
         assert graded_piece(T2, d)[1] == graded_piece(T, d)[1]
 
 
-def test_vanishes_on_upset_examples(P11):
+def test_upset_vanishing_examples(P11):
     mg = irrelevant_gens(P11)
     Q = quotient_presentation(P11, mg)
-    assert vanishes_on_upset(Q, reg(-1, 0, 0))
+    assert upset_nonvanishing_witness(Q, reg(-1, 0, 0)) is None
     R = free_presentation(P11, [(0, 0)])
-    assert not vanishes_on_upset(R, reg(-1, 0, 0))
+    assert upset_nonvanishing_witness(R, reg(-1, 0, 0)) is not None
     x0, x1 = P11.var(0), P11.var(1)
     A = quotient_presentation(P11, [x0, x1])
-    assert vanishes_on_upset(A, reg_prime(0, 0))
+    assert upset_nonvanishing_witness(A, reg_prime(0, 0)) is None
     # windowed brute-force agreement beyond the corner
     for M, U in [(Q, reg(-1, 0, 0)), (A, reg_prime(0, 0)),
                  (R, reg(-1, 2, 2))]:
         brute = all(graded_piece(M, (k, kp))[1] == 0
                     for k in range(-1, 9) for kp in range(-1, 9)
                     if region_contains(U, k, kp))
-        assert vanishes_on_upset(M, U) == brute
+        assert (upset_nonvanishing_witness(M, U) is None) == brute
 
 
 def test_upset_witness_is_real(P11):
@@ -515,7 +515,7 @@ def test_upset_check_is_fast_on_p9xp9():
     t0 = time.monotonic()
     R = make_ring(9, 9)
     M = quotient_presentation(R, [R.var(v) for v in range(10)])
-    assert vanishes_on_upset(M, reg(-1, 0, 0))
+    assert upset_nonvanishing_witness(M, reg(-1, 0, 0)) is None
     assert upset_nonvanishing_witness(M, reg_double_prime(0, 0)) == (0, 1)
     assert time.monotonic() - t0 < 1.0
 
@@ -527,7 +527,7 @@ def test_upset_clamp_above_piece_limit_is_refused():
     R = make_ring(9, 1)
     M = quotient_presentation(R, [R.var(v) ** 3 for v in range(10)])
     with pytest.raises(PieceTooLarge, match=r"bidegree \(21,1\)"):
-        vanishes_on_upset(M, reg(-1, 40, 0))
+        upset_nonvanishing_witness(M, reg(-1, 40, 0))
     assert time.monotonic() - t0 < 1.0
 
 
@@ -539,7 +539,7 @@ def test_upset_check_cost_does_not_grow_with_i(P11):
     for i in (10 ** 3, 10 ** 6):
         t0 = time.monotonic()
         M = quotient_presentation(P11, [x0 ** 3, x1 ** 3, y0 ** 2, y1 ** 2])
-        assert vanishes_on_upset(M, reg(i, i, i))
+        assert upset_nonvanishing_witness(M, reg(i, i, i)) is None
         pieces.append(sum(key[0] == "piece" for key in M._cache))
         N = quotient_presentation(P11, [x0 ** 3, x1 ** 3])
         assert upset_nonvanishing_witness(N, reg(i, i, i)) == (0, i - 1)

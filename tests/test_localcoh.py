@@ -6,8 +6,7 @@ import time
 import pytest
 
 from bigraded.cli import parse_input
-from bigraded.errors import (BigradedError, InvalidIndex, InvalidPower,
-                             NoStabilization)
+from bigraded.errors import BigradedError, InvalidIndex, InvalidPower
 from bigraded.groebner import graded_piece, ideal_presentation
 from bigraded.localcoh import (IRRELEVANT, KINDS, X, XY_SUM, Y, _frame_top,
                                _power_complex, _stable_power,
@@ -23,8 +22,9 @@ from bigraded.resolutions import (homology_dims, minimal_free_resolution,
 from bigraded.ring import make_ring
 from bigraded.sheaf import kunneth_dim
 from conftest import SATURATION_ROUNDS_DOC, irrelevant_gens
-from helpers import (random_form, random_sparse_poly, schreyer_frame_levels,
-                     taylor_top, unskipped_local_cohomology_dim)
+from helpers import (dual_complex, duality_sum_dims, random_form,
+                     random_sparse_poly, schreyer_frame_levels, taylor_top,
+                     unskipped_local_cohomology_dim)
 
 
 def free(ring, gens=((0, 0),)):
@@ -99,9 +99,6 @@ def test_certified_values_reproducible(P11):
 def test_no_stabilization_is_honest(P11):
     # nu_max too small to see two consecutive isomorphisms
     R = free(P11)
-    with pytest.raises(NoStabilization):
-        local_cohomology_dim(R, IRRELEVANT, 2, (0, -2), nu_max=2,
-                             strict=True)
     v = local_cohomology_dim(R, IRRELEVANT, 2, (0, -2), nu_max=2)
     assert not v.certified and v.stabilized_at is None
 
@@ -260,6 +257,37 @@ def test_h0_by_saturation_matches_ext_at_the_stable_power(corpus, P11):
                     (name, kind, d)
                 nonzero[kind] += want != 0
     assert all(nonzero.values()), nonzero
+
+
+def test_sum_kind_by_graded_local_duality(corpus, P11, P12):
+    # a route to the sum kind with no power nu: Ext^{N-i}(M, omega) on the
+    # dual of the minimal resolution.  It is compared with saturation at
+    # i = 0 and with Ext at the stable power for i >= 1, not with
+    # local_cohomology_dim, whose chase can certify a cell below that power
+    squares = quotient_presentation(
+        P11, [P11.var(v) ** 2 for v in range(P11.nvars)])
+    modules = [M for name, M in corpus.items() if not name.startswith("R(")]
+    modules += [parse_input(SATURATION_ROUNDS_DOC)[1], squares]
+    rng = random.Random(20261020)
+    for ring, degs in ((P11, [(1, 1), (1, 0), (0, 1), (2, 1), (1, 2)]),
+                       (P12, [(1, 1), (1, 0), (0, 1), (2, 1), (1, 2)]),
+                       (make_ring(-1, 2), [(0, 1), (0, 2)])):
+        for _ in range(2):
+            modules.append(quotient_presentation(ring, [
+                random_sparse_poly(ring, rng, rng.choice(degs), nterms=2)
+                for _ in range(3)]))
+    nonzero = [0] * (P12.nvars + 1)
+    for M in modules:
+        D = dual_complex(minimal_free_resolution(M))
+        H0 = h0_via_saturation(M, XY_SUM)
+        for d in ((a, b) for a in range(-3, 2) for b in range(-3, 2)):
+            want = [graded_piece(H0, d)[1]] + [
+                ext_graded_dim(M, XY_SUM, i, d, _stable_power(M, d))[0]
+                for i in range(1, M.ring.nvars + 1)]
+            assert duality_sum_dims(D, d) == want, (M, d)
+            for i, dim in enumerate(want):
+                nonzero[i] += dim != 0
+    assert all(nonzero), nonzero
 
 
 # ---------------------------------------------------------------- invariants
@@ -469,10 +497,6 @@ def test_skip_leaves_every_answer_unchanged(P11, P12, corpus):
             want = unskipped_local_cohomology_dim(M, kind, i, d, nu_max)
             got = local_cohomology_dim(M, kind, i, d, nu_max)
             assert got == want, (kind, i, d, nu_max)
-            if want.certified:
-                continue
-            with pytest.raises(NoStabilization):
-                local_cohomology_dim(M, kind, i, d, nu_max, strict=True)
 
 # ------------------------------------------------------------------- memory
 

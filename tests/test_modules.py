@@ -3,7 +3,7 @@ import pytest
 from bigraded.errors import NotBihomogeneous, ZeroPolynomial
 from bigraded.groebner import graded_piece, ideal_presentation
 from bigraded.modules import (FreeModule, ModuleMap, Presentation,
-                              free_presentation, quotient_presentation, twist,
+                              free_presentation, quotient_presentation,
                               vec_bidegree, vec_from_poly)
 from bigraded.resolutions import map_rank_at
 from bigraded.ring import _accumulate
@@ -107,13 +107,13 @@ def test_quotient_presentation_examples(P11):
 
 def test_twist_shifts_pieces(P11):
     R = free_presentation(P11, [(0, 0)])
-    T = twist(R, 1, 1)
+    T = R.twist(1, 1)
     assert graded_piece(T, (0, 0))[1] == P11.piece_dim(1, 1) == 4
-    T2 = twist(R, 2, 0)
+    T2 = R.twist(2, 0)
     assert graded_piece(T2, (-2, 0))[1] == 1
     # double twist is the identity on graded pieces
     M = quotient_presentation(P11, [P11.var(0) * P11.var(2)])
-    MT = twist(twist(M, 2, -1), -2, 1)
+    MT = M.twist(2, -1).twist(-2, 1)
     for d in [(0, 0), (1, 1), (2, 2), (3, 1)]:
         assert graded_piece(MT, d)[1] == graded_piece(M, d)[1]
     assert MT.f0.gens == M.f0.gens
@@ -122,4 +122,4 @@ def test_twist_shifts_pieces(P11):
 def test_twisted_map_degree_compatible(P11):
     # twisting a presentation keeps its relation map degree compatible
     M = quotient_presentation(P11, irrelevant_gens(P11))
-    twist(M, 3, -2).relations.check()
+    M.twist(3, -2).relations.check()
